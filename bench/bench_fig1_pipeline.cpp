@@ -33,8 +33,8 @@ struct ParadigmRow {
 };
 
 struct StreamStages {
-  double edge_s = 0.0, wire_s = 0.0, server_s = 0.0;
-  int64_t wire_bytes = 0, wire_bytes_raw = 0;
+  double edge_s = 0.0, server_s = 0.0;
+  sc::WireTally wire;
   double pipelined_s = 0.0;
 };
 
@@ -42,10 +42,8 @@ StreamStages stage_totals(const sc::StreamResult& sr) {
   StreamStages out;
   for (const auto& r : sr.results) {
     out.edge_s += r.latency.edge_compute_s;
-    out.wire_s += r.latency.transfer_s;
     out.server_s += r.latency.server_compute_s;
-    out.wire_bytes += r.latency.wire_bytes;
-    out.wire_bytes_raw += r.latency.wire_bytes_raw;
+    out.wire += r.latency.wire;
   }
   out.pipelined_s = sr.analytic_pipelined_s;
   return out;
@@ -77,10 +75,10 @@ void write_json(const std::vector<ParadigmRow>& rows,
                  "\"wire_ms\": %.4f, \"server_ms\": %.4f, "
                  "\"total_ms\": %.4f, \"wire_bytes\": %lld, "
                  "\"wire_bytes_raw\": %lld, \"bit_exact\": %s}%s\n",
-                 rows[i].name, 1e3 * l.edge_compute_s, 1e3 * l.transfer_s,
+                 rows[i].name, 1e3 * l.edge_compute_s, 1e3 * l.wire.time_s,
                  1e3 * l.server_compute_s, 1e3 * l.total_s(),
-                 static_cast<long long>(l.wire_bytes),
-                 static_cast<long long>(l.wire_bytes_raw),
+                 static_cast<long long>(l.wire.bytes),
+                 static_cast<long long>(l.wire.bytes_raw),
                  rows[i].bit_exact ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
   }
@@ -91,9 +89,9 @@ void write_json(const std::vector<ParadigmRow>& rows,
                  "    \"%s\": {\"edge_ms\": %.4f, \"wire_ms\": %.4f, "
                  "\"server_ms\": %.4f, \"pipelined_ms\": %.4f, "
                  "\"wire_bytes\": %lld, \"wire_bytes_raw\": %lld}%s\n",
-                 key, 1e3 * s.edge_s, 1e3 * s.wire_s, 1e3 * s.server_s,
-                 1e3 * s.pipelined_s, static_cast<long long>(s.wire_bytes),
-                 static_cast<long long>(s.wire_bytes_raw), last ? "" : ",");
+                 key, 1e3 * s.edge_s, 1e3 * s.wire.time_s, 1e3 * s.server_s,
+                 1e3 * s.pipelined_s, static_cast<long long>(s.wire.bytes),
+                 static_cast<long long>(s.wire.bytes_raw), last ? "" : ",");
   };
   stage("wire_raw", raw_stage, false);
   stage("wire_codec", codec_stage, true);
@@ -219,9 +217,9 @@ int main(int argc, char** argv) {
   for (const ParadigmRow& row : rows) {
     const auto& l = row.r.latency;
     std::printf("%-16s | %10.3f | %10.3f | %10.3f | %10.3f | %9.1f | %s\n",
-                row.name, 1e3 * l.edge_compute_s, 1e3 * l.transfer_s,
+                row.name, 1e3 * l.edge_compute_s, 1e3 * l.wire.time_s,
                 1e3 * l.server_compute_s, 1e3 * l.total_s(),
-                static_cast<double>(l.wire_bytes) / 1024.0,
+                static_cast<double>(l.wire.bytes) / 1024.0,
                 row.bit_exact ? "yes" : "no (int8, lossy by design)");
   }
   for (int i = 0; i < 95; ++i) std::putchar('-');
@@ -274,7 +272,7 @@ int main(int argc, char** argv) {
     std::printf("\nPipelined SC stream (%zu single-image inferences):\n",
                 stream_in.size());
     std::printf("  stage totals: edge %.3f ms | wire %.3f ms | server %.3f ms\n",
-                1e3 * raw_stage.edge_s, 1e3 * raw_stage.wire_s,
+                1e3 * raw_stage.edge_s, 1e3 * raw_stage.wire.time_s,
                 1e3 * raw_stage.server_s);
     std::printf("  analytic   serial %8.3f ms   pipelined %8.3f ms (%.2fx)\n",
                 1e3 * serial_analytic, 1e3 * sr.analytic_pipelined_s,
@@ -298,15 +296,15 @@ int main(int argc, char** argv) {
     std::printf("\nCompressed wire stage (int8 + entropy codec, same stream):\n");
     std::printf("  wire stage %.3f ms -> %.3f ms | bytes fp32 %lld -> "
                 "int8+codec %lld | pipelined %.3f ms -> %.3f ms\n",
-                1e3 * raw_stage.wire_s, 1e3 * codec_stage.wire_s,
-                static_cast<long long>(raw_stage.wire_bytes),
-                static_cast<long long>(codec_stage.wire_bytes),
+                1e3 * raw_stage.wire.time_s, 1e3 * codec_stage.wire.time_s,
+                static_cast<long long>(raw_stage.wire.bytes),
+                static_cast<long long>(codec_stage.wire.bytes),
                 1e3 * raw_stage.pipelined_s, 1e3 * codec_stage.pipelined_s);
     std::printf("  (codec alone: %lld -> %lld int8 bytes; a trained "
                 "hard-swish bottleneck is dense, so the frame stores —\n"
                 "   the sparse-ReLU case is bench_serving's wire scenario)\n",
-                static_cast<long long>(codec_stage.wire_bytes_raw),
-                static_cast<long long>(codec_stage.wire_bytes));
+                static_cast<long long>(codec_stage.wire.bytes_raw),
+                static_cast<long long>(codec_stage.wire.bytes));
   }
 
   // --- Automatic split-point search (graph/split_search.hpp): every

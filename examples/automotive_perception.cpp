@@ -68,7 +68,7 @@ int main() {
   auto report = [&](const char* name, const sc::InferenceResult& r) {
     const double ms = 1e3 * r.latency.total_s();
     std::printf("  %-22s %8.2f ms  (%5lld wire bytes)  %s\n", name, ms,
-                static_cast<long long>(r.latency.wire_bytes),
+                static_cast<long long>(r.latency.wire.bytes),
                 ms <= kFrameBudgetMs ? "MEETS budget" : "misses budget");
   };
   report("LoC (all on vehicle)", loc.infer(frame.images));

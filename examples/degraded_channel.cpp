@@ -116,10 +116,10 @@ int main() {
     bitwise = got.logits[j].equals(want.logits[j]);
   std::printf("  wire bytes %lld raw -> %lld framed, %lld retransmit(s), "
               "wire time %.2f ms (clean: %.2f ms)\n",
-              static_cast<long long>(got.latency.wire_bytes_raw),
-              static_cast<long long>(got.latency.wire_bytes),
-              static_cast<long long>(got.latency.retransmits),
-              1e3 * got.latency.transfer_s, 1e3 * want.latency.transfer_s);
+              static_cast<long long>(got.latency.wire.bytes_raw),
+              static_cast<long long>(got.latency.wire.bytes),
+              static_cast<long long>(got.latency.wire.retransmits),
+              1e3 * got.latency.wire.time_s, 1e3 * want.latency.wire.time_s);
   std::printf("  logits bitwise identical to the clean channel: %s\n",
               bitwise ? "yes" : "NO — BUG");
   return bitwise ? 0 : 1;

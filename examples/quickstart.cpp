@@ -72,8 +72,8 @@ int main() {
   std::printf(
       "split inference: %lld bytes over the wire, %.3f ms modelled total "
       "(edge %.3f + wire %.3f + server %.3f)\n",
-      static_cast<long long>(result.latency.wire_bytes),
+      static_cast<long long>(result.latency.wire.bytes),
       1e3 * result.latency.total_s(), 1e3 * result.latency.edge_compute_s,
-      1e3 * result.latency.transfer_s, 1e3 * result.latency.server_compute_s);
+      1e3 * result.latency.wire.time_s, 1e3 * result.latency.server_compute_s);
   return 0;
 }

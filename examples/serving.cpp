@@ -87,7 +87,7 @@ int main() {
   for (size_t i = 0; i < chunks.size(); ++i) {
     const sc::InferenceResult r = chunks[i].get();
     std::printf(" chunk%zu(%lldB)", i,
-                static_cast<long long>(r.latency.wire_bytes));
+                static_cast<long long>(r.latency.wire.bytes));
   }
   std::printf("\n");
 

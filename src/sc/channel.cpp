@@ -53,42 +53,24 @@ std::vector<uint8_t> Channel::transmit(std::vector<uint8_t> message) {
   if (cfg_.link.enabled()) {
     const double per_byte_s =
         8.0 / (cfg_.bandwidth_bps * (1.0 - cfg_.degradation));
-    const LinkDelivery d = link_deliver(cfg_.link, per_byte_s,
-                                        cfg_.base_latency_s, rng_,
-                                        &link_session_, message);
-    last_time_ = d.time_s;
-    last_retransmits_ = d.retransmits;
-    last_fec_repaired_ = d.fec_repaired;
-    last_undelivered_ = d.undelivered;
-    last_goodput_ = d.goodput_bytes_s;
-    packets_ += d.packets;
-    parity_packets_ += d.parity_packets;
-    retransmits_ += d.retransmits;
-    fec_repaired_ += d.fec_repaired;
-    undelivered_ += d.undelivered;
-    if (tm_.packets) {
-      tm_.packets->add(d.packets);
-      tm_.parity_packets->add(d.parity_packets);
-      tm_.retransmits->add(d.retransmits);
-      tm_.fec_repaired->add(d.fec_repaired);
-      tm_.undelivered->add(d.undelivered);
-      tm_.window->set(window());
-    }
+    last_ = link_deliver(cfg_.link, per_byte_s, cfg_.base_latency_s, rng_,
+                         &link_session_, message);
   } else {
-    last_time_ = transfer_time(bytes);
-    last_retransmits_ = 0;
-    last_fec_repaired_ = 0;
-    last_undelivered_ = 0;
-    last_goodput_ = last_time_ > 0.0
-                        ? static_cast<double>(bytes) / last_time_
-                        : 0.0;
+    last_ = {.messages = 1,
+             .bytes = bytes,
+             .bytes_raw = bytes,
+             .time_s = transfer_time(bytes)};
   }
-  total_time_ += last_time_;
-  total_bytes_ += bytes;
-  ++messages_;
+  totals_ += last_;
   if (tm_.messages) {
     tm_.messages->inc();
-    tm_.bytes->add(bytes);
+    tm_.bytes->add(last_.bytes);
+    tm_.packets->add(last_.packets);
+    tm_.parity_packets->add(last_.parity_packets);
+    tm_.retransmits->add(last_.retransmits);
+    tm_.fec_repaired->add(last_.fec_repaired);
+    tm_.undelivered->add(last_.undelivered);
+    if (last_.window > 0.0) tm_.window->set(last_.window);
   }
   if (cfg_.corrupt_prob > 0.0f) {
     for (uint8_t& b : message)
@@ -110,24 +92,6 @@ std::vector<uint8_t> FaultInjectChannel::transmit(
     if (!received.empty()) received[received.size() / 2] ^= 0x01;
   }
   return received;
-}
-
-void Channel::reset_stats() {
-  total_time_ = 0.0;
-  total_bytes_ = 0;
-  messages_ = 0;
-  packets_ = 0;
-  parity_packets_ = 0;
-  retransmits_ = 0;
-  fec_repaired_ = 0;
-  undelivered_ = 0;
-  last_time_ = 0.0;
-  last_retransmits_ = 0;
-  last_fec_repaired_ = 0;
-  last_undelivered_ = 0;
-  last_goodput_ = 0.0;
-  // link_session_ is connection state, not statistics: the packet
-  // counter and congestion window survive a stats reset.
 }
 
 }  // namespace mtlsplit::sc

@@ -45,13 +45,13 @@ class Channel {
   /// piece — the analytic §4.2 view, ignoring packetisation and loss.
   double transfer_time(int64_t bytes) const;
 
-  /// "Transmits" a message: accounts time into total_time() and applies
-  /// byte corruption per corrupt_prob. With the link model enabled the
-  /// message is packetised; packets drop/corrupt deterministically from
-  /// the session RNG, FEC parity repairs up to fec_parity erasures per
-  /// frame group with zero extra round trips, and a window-paced
-  /// timeout/retransmit loop recovers the rest (an exhausted budget
-  /// delivers an erasure that fails the CRC upstream).
+  /// "Transmits" a message: records its tally in last_message() and
+  /// totals() and applies byte corruption per corrupt_prob. With the link
+  /// model enabled the message is packetised; packets drop/corrupt
+  /// deterministically from the session RNG, FEC parity repairs up to
+  /// fec_parity erasures per frame group with zero extra round trips, and
+  /// a window-paced timeout/retransmit loop recovers the rest (an
+  /// exhausted budget delivers an erasure that fails the CRC upstream).
   /// Returns the received bytes. Virtual so fault-injection wrappers
   /// (FaultInjectChannel) can intercept the wire deterministically.
   virtual std::vector<uint8_t> transmit(std::vector<uint8_t> message);
@@ -75,41 +75,28 @@ class Channel {
   /// sharing one Channel.
   Channel fork(uint64_t session) const;
 
-  double total_time() const { return total_time_; }
-  int64_t total_bytes() const { return total_bytes_; }
-  int64_t messages_sent() const { return messages_; }
-  /// Data packets pushed onto the wire (first attempts only; link mode).
-  int64_t packets_sent() const { return packets_; }
-  /// FEC parity packets sent alongside the data (link mode with FEC).
-  int64_t parity_packets_sent() const { return parity_packets_; }
-  /// Cumulative link-layer retransmissions across the session.
-  int64_t retransmits() const { return retransmits_; }
-  /// Data packets rebuilt from FEC parity — erasures repaired with zero
-  /// extra round trips — across the session.
-  int64_t fec_repaired() const { return fec_repaired_; }
-  /// Data packets erased after FEC and the retransmit budget both failed;
-  /// each surfaces upstream as a typed CRC/decode error, never silently.
-  int64_t undelivered() const { return undelivered_; }
+  /// Everything this session has sent since construction or reset_stats()
+  /// — the += sum of every last_message().
+  const WireTally& totals() const { return totals_; }
+  /// The most recent transmit(): its time is transfer_time(bytes) without
+  /// a link model and the windowed jitter/retransmit accounting with one.
+  const WireTally& last_message() const { return last_; }
+  /// Thin reads of totals().
+  int64_t total_bytes() const { return totals_.bytes; }
+  int64_t messages_sent() const { return totals_.messages; }
+  int64_t packets_sent() const { return totals_.packets; }
+  int64_t retransmits() const { return totals_.retransmits; }
+  int64_t fec_repaired() const { return totals_.fec_repaired; }
+  int64_t undelivered() const { return totals_.undelivered; }
   /// Current congestion window of this session, in packets (AIMD state;
   /// window_init until the first link delivery runs).
   double window() const {
     return link_session_.cwnd >= 1.0 ? link_session_.cwnd
                                      : cfg_.link.window_init;
   }
-  /// Modelled time of the most recent transmit() — equals
-  /// transfer_time(bytes) without a link model, and the windowed
-  /// jitter/retransmit accounting with one.
-  double last_message_time_s() const { return last_time_; }
-  /// Retransmissions the most recent transmit() needed.
-  int64_t last_message_retransmits() const { return last_retransmits_; }
-  /// FEC repairs the most recent transmit() performed.
-  int64_t last_message_fec_repaired() const { return last_fec_repaired_; }
-  /// Erasures the most recent transmit() delivered.
-  int64_t last_message_undelivered() const { return last_undelivered_; }
-  /// Delivered payload bytes per second of modelled time for the most
-  /// recent transmit() (bytes / transfer time without a link model).
-  double last_message_goodput_bytes_s() const { return last_goodput_; }
-  void reset_stats();
+  /// Zeroes both tallies. The packet counter and congestion window are
+  /// connection state, not statistics, and survive.
+  void reset_stats() { totals_ = last_ = WireTally{}; }
 
   /// Mirrors this session's counters into a telemetry tree under
   /// @p prefix (e.g. "serve/shard0/link"): counters messages/bytes/
@@ -124,8 +111,7 @@ class Channel {
   const ChannelConfig& config() const { return cfg_; }
 
  private:
-  /// Tree mirrors; null until bound. The int64_t members stay
-  /// authoritative for the accessors.
+  /// Tree mirrors of last_ per transmit(); null until bound.
   struct TelemetryRefs {
     telemetry::Counter* messages = nullptr;
     telemetry::Counter* bytes = nullptr;
@@ -139,20 +125,9 @@ class Channel {
   TelemetryRefs tm_;
   ChannelConfig cfg_;
   Rng rng_;
-  double total_time_ = 0.0;
-  int64_t total_bytes_ = 0;
-  int64_t messages_ = 0;
-  int64_t packets_ = 0;
-  int64_t parity_packets_ = 0;
-  int64_t retransmits_ = 0;
-  int64_t fec_repaired_ = 0;
-  int64_t undelivered_ = 0;
   LinkSession link_session_;  // packet counter + congestion window
-  double last_time_ = 0.0;
-  int64_t last_retransmits_ = 0;
-  int64_t last_fec_repaired_ = 0;
-  int64_t last_undelivered_ = 0;
-  double last_goodput_ = 0.0;
+  WireTally totals_;
+  WireTally last_;
 };
 
 /// Deterministic fault schedule for FaultInjectChannel.

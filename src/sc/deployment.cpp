@@ -143,7 +143,7 @@ std::vector<Tensor> ScDeployment::heads_fwd(const Tensor& zb) {
   return model_->forward_heads(zb);
 }
 
-Tensor ScDeployment::wire_roundtrip(const Tensor& zb, LatencyBreakdown& lat) {
+Tensor ScDeployment::wire_roundtrip(const Tensor& zb, WireTally& wire) {
   // --- Edge side of the wire: serialise, then (optionally) entropy-code.
   std::vector<uint8_t> msg;
   if (cfg_.encoding == ZbEncoding::kFloat32) {
@@ -152,20 +152,16 @@ Tensor ScDeployment::wire_roundtrip(const Tensor& zb, LatencyBreakdown& lat) {
     const QuantizedTensor q = quantize_int8(zb);
     msg = serialize_int8(q.shape, q.values, q.scale, q.zero_point);
   }
-  lat.wire_bytes_raw = static_cast<int64_t>(msg.size());
+  const auto raw_bytes = static_cast<int64_t>(msg.size());
   if (cfg_.codec != WireCodec::kRaw) msg = encode_frame(msg, cfg_.codec);
-  lat.wire_bytes = static_cast<int64_t>(msg.size());
 
   // --- Channel: packetisation/loss/retransmits are the channel's
-  // business; its per-message stats carry the modelled cost back.
+  // business; its per-message tally carries the modelled cost back. The
+  // message crossed whether or not it decodes, so it counts now.
   std::vector<uint8_t> received = channel_->transmit(std::move(msg));
-  lat.transfer_s = channel_->last_message_time_s();
-  lat.retransmits = channel_->last_message_retransmits();
-  lat.fec_repaired = channel_->last_message_fec_repaired();
-  lat.undelivered = channel_->last_message_undelivered();
-  lat.link_window = channel_->config().link.enabled() ? channel_->window()
-                                                      : 0.0;
-  lat.goodput_bytes_s = channel_->last_message_goodput_bytes_s();
+  wire = channel_->last_message();
+  wire.bytes_raw = raw_bytes;
+  last_traffic_ += wire;
 
   // --- Server side: unframe (typed WireCodecError on a damaged frame),
   // deserialise (CRC-checked), dequantise below the quantise boundary.
@@ -177,6 +173,7 @@ Tensor ScDeployment::wire_roundtrip(const Tensor& zb, LatencyBreakdown& lat) {
 }
 
 InferenceResult ScDeployment::infer(const Tensor& x) {
+  last_traffic_ = {};
   InferenceResult out;
   ensure_compiled(x);
   const auto t0 = std::chrono::steady_clock::now();
@@ -187,7 +184,7 @@ InferenceResult ScDeployment::infer(const Tensor& x) {
       edge_.compute_time(model_->backbone().flops(x.shape()));
 
   // --- Wire + server: real wire format, then the task heads (Eq. 3).
-  const Tensor zb_rx = wire_roundtrip(zb, out.latency);
+  const Tensor zb_rx = wire_roundtrip(zb, out.latency.wire);
   out.logits = heads_fwd(zb_rx);
   out.latency.server_compute_s =
       server_.compute_time(heads_flops(*model_, zb_rx.shape()));
@@ -196,7 +193,7 @@ InferenceResult ScDeployment::infer(const Tensor& x) {
 }
 
 BatchResult ScDeployment::infer_batch(const Tensor& x) {
-  last_batch_traffic_ = {};
+  last_traffic_ = {};
   check_arg(x.dim() == 4 && x.size(0) > 0,
             "infer_batch: input must be [B, C, H, W] with B >= 1");
   BatchResult out;
@@ -219,8 +216,7 @@ BatchResult ScDeployment::infer_batch(const Tensor& x) {
   std::vector<size_t> owner;
   for (int64_t i = 0; i < b; ++i) {
     BatchItem& item = out.items[static_cast<size_t>(i)];
-    LatencyBreakdown& lat = item.result.latency;
-    lat.edge_compute_s = edge_s;
+    item.result.latency.edge_compute_s = edge_s;
     try {
       // B == 1 skips the row copy: zb already is that sample's slice.
       Tensor zrow_storage;
@@ -229,32 +225,13 @@ BatchResult ScDeployment::infer_batch(const Tensor& x) {
         zrow_storage = ops::slice_batch(zb, i, i + 1);
         zrow = &zrow_storage;
       }
-      survivors.push_back(wire_roundtrip(*zrow, lat));
+      survivors.push_back(wire_roundtrip(*zrow, item.result.latency.wire));
       owner.push_back(static_cast<size_t>(i));
     } catch (...) {
       item.error = std::current_exception();
     }
-    // Wire traffic is accounted whether or not the message survived —
-    // the bytes crossed (and the retransmits happened) either way. It
-    // accumulates message-by-message into last_batch_traffic_ so a
-    // post-wire failure (concat/heads below throwing) still leaves the
-    // traffic this batch consumed readable via last_batch_traffic().
-    last_batch_traffic_.wire_bytes += lat.wire_bytes;
-    last_batch_traffic_.wire_bytes_raw += lat.wire_bytes_raw;
-    last_batch_traffic_.retransmits += lat.retransmits;
-    last_batch_traffic_.fec_repaired += lat.fec_repaired;
-    last_batch_traffic_.undelivered += lat.undelivered;
-    last_batch_traffic_.wire_time_s += lat.transfer_s;
-    if (lat.link_window > 0.0)
-      last_batch_traffic_.link_window = lat.link_window;
   }
-  out.wire_bytes = last_batch_traffic_.wire_bytes;
-  out.wire_bytes_raw = last_batch_traffic_.wire_bytes_raw;
-  out.retransmits = last_batch_traffic_.retransmits;
-  out.fec_repaired = last_batch_traffic_.fec_repaired;
-  out.undelivered = last_batch_traffic_.undelivered;
-  out.wire_time_s = last_batch_traffic_.wire_time_s;
-  out.link_window = last_batch_traffic_.link_window;
+  out.wire = last_traffic_;
 
   // --- Server: heads run once over the surviving sub-batch, then each
   // task's logit rows scatter back to the owning request.
@@ -288,7 +265,7 @@ StreamResult ScDeployment::infer_stream(const std::vector<Tensor>& inputs) {
 StreamResult ScDeployment::infer_stream(const std::vector<Tensor>& inputs,
                                         const StreamItemFn& on_item) {
   StreamResult out;
-  last_stream_traffic_ = {};
+  last_traffic_ = {};
   const size_t n = inputs.size();
   out.results.resize(n);
   if (n == 0) return out;
@@ -323,32 +300,12 @@ StreamResult ScDeployment::infer_stream(const std::vector<Tensor>& inputs,
     to_wire.close();
   });
 
-  // --- Stage 2 (wire thread): serialise -> channel -> deserialise. The
-  // traffic tally survives a decode failure — wire_roundtrip fills the
-  // item's wire fields before it can throw, and the faulted message
-  // crossed the link either way.
-  auto account_traffic = [this](const LatencyBreakdown& lat) {
-    last_stream_traffic_.wire_bytes += lat.wire_bytes;
-    last_stream_traffic_.wire_bytes_raw += lat.wire_bytes_raw;
-    last_stream_traffic_.retransmits += lat.retransmits;
-    last_stream_traffic_.fec_repaired += lat.fec_repaired;
-    last_stream_traffic_.undelivered += lat.undelivered;
-    last_stream_traffic_.wire_time_s += lat.transfer_s;
-    if (lat.link_window > 0.0)
-      last_stream_traffic_.link_window = lat.link_window;
-  };
+  // --- Stage 2 (wire thread): serialise -> channel -> deserialise.
   std::thread wire_thread([&] {
     try {
       size_t i;
       while (to_wire.pop(i)) {
-        LatencyBreakdown& lat = out.results[i].latency;
-        try {
-          zb_rx[i] = wire_roundtrip(zb[i], lat);
-        } catch (...) {
-          account_traffic(lat);
-          throw;
-        }
-        account_traffic(lat);
+        zb_rx[i] = wire_roundtrip(zb[i], out.results[i].latency.wire);
         zb[i] = Tensor();  // edge copy no longer needed
         to_server.push(i);
       }
@@ -386,7 +343,7 @@ StreamResult ScDeployment::infer_stream(const std::vector<Tensor>& inputs,
     const LatencyBreakdown& lat = r.latency;
     out.analytic_serial_s += lat.total_s();
     edge_free += lat.edge_compute_s;
-    wire_free = std::max(edge_free, wire_free) + lat.transfer_s;
+    wire_free = std::max(edge_free, wire_free) + lat.wire.time_s;
     server_free = std::max(wire_free, server_free) + lat.server_compute_s;
   }
   out.analytic_pipelined_s = server_free;
@@ -416,15 +373,9 @@ InferenceResult RocDeployment::infer(const Tensor& x) {
   const auto t0 = std::chrono::steady_clock::now();
   // Raw input crosses the channel (uncoded: RoC predates the bottleneck,
   // so there is nothing sparse to entropy-code)...
-  std::vector<uint8_t> wire = serialize_tensor(x);
-  out.latency.wire_bytes = static_cast<int64_t>(wire.size());
-  out.latency.wire_bytes_raw = out.latency.wire_bytes;
-  const std::vector<uint8_t> received = channel_->transmit(std::move(wire));
-  out.latency.transfer_s = channel_->last_message_time_s();
-  out.latency.retransmits = channel_->last_message_retransmits();
-  out.latency.fec_repaired = channel_->last_message_fec_repaired();
-  out.latency.undelivered = channel_->last_message_undelivered();
-  out.latency.goodput_bytes_s = channel_->last_message_goodput_bytes_s();
+  const std::vector<uint8_t> received =
+      channel_->transmit(serialize_tensor(x));
+  out.latency.wire = channel_->last_message();
   const WireTensor wt = deserialize_tensor(received);
   check_arg(wt.dtype == WireDtype::kFloat32, "RoC: unexpected wire dtype");
 

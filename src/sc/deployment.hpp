@@ -28,42 +28,23 @@ namespace mtlsplit::sc {
 
 /// Where each latency component of one inference went.
 ///
-/// The edge/transfer/server components are the paper's §4.2 analytic model
+/// The edge/wire/server components are the paper's §4.2 analytic model
 /// (device FLOP throughput + channel bandwidth); measured_wall_s is the
 /// wall-clock this process actually spent executing the inference, so the
 /// analytic claim can always be checked against a real measurement.
 struct LatencyBreakdown {
   double edge_compute_s = 0.0;
-  double transfer_s = 0.0;
   double server_compute_s = 0.0;
-  /// Bytes that actually crossed the link (the compressed frame when the
-  /// wire codec is on; identical to wire_bytes_raw when it is off).
-  int64_t wire_bytes = 0;
-  /// Serialised Z_b size before the wire codec (the uncompressed wire
-  /// cost this transfer would have paid).
-  int64_t wire_bytes_raw = 0;
-  /// Link-layer retransmissions this message needed (0 without a
-  /// LinkModel on the channel).
-  int64_t retransmits = 0;
-  /// Data packets the receiver rebuilt from FEC parity — loss repaired
-  /// with zero extra round trips (0 without FEC on the link).
-  int64_t fec_repaired = 0;
-  /// Data packets erased after FEC and the retransmit budget both
-  /// failed. Never silent: a nonzero value always surfaces as a typed
-  /// CRC/decode failure on this message.
-  int64_t undelivered = 0;
-  /// Sender congestion window (packets) after this message (AIMD state;
-  /// 0 without a LinkModel).
-  double link_window = 0.0;
-  /// Delivered payload bytes per second of modelled wire time.
-  double goodput_bytes_s = 0.0;
+  /// This inference's wire messages; wire.time_s is the transfer term.
+  /// All zero for LoC, which sends nothing.
+  WireTally wire;
   /// Measured wall-clock. For ScDeployment::infer this covers the whole
   /// call; for a pipelined stream it is the time from stream start until
   /// this item left the server stage.
   double measured_wall_s = 0.0;
   /// Analytic end-to-end latency (the §4.2 model, not the measurement).
   double total_s() const {
-    return edge_compute_s + transfer_s + server_compute_s;
+    return edge_compute_s + wire.time_s + server_compute_s;
   }
 };
 
@@ -126,21 +107,8 @@ struct BatchResult {
   std::vector<BatchItem> items;
   /// Wall-clock for the whole batch.
   double measured_wall_s = 0.0;
-  /// Total bytes that crossed the link (one message per sample).
-  int64_t wire_bytes = 0;
-  /// Total pre-codec serialised bytes across the batch's messages.
-  int64_t wire_bytes_raw = 0;
-  /// Total link-layer retransmissions across the batch's messages.
-  int64_t retransmits = 0;
-  /// Total FEC parity repairs across the batch's messages.
-  int64_t fec_repaired = 0;
-  /// Total link erasures (undelivered packets) across the batch.
-  int64_t undelivered = 0;
-  /// Total modelled wire time across the batch's messages (denominator
-  /// of the batch's goodput).
-  double wire_time_s = 0.0;
-  /// Sender congestion window after the batch's last message.
-  double link_window = 0.0;
+  /// Sum of the batch's messages (one per sample), failed ones included.
+  WireTally wire;
 };
 
 /// Split-computing executor for an MtlSplitModel.
@@ -191,30 +159,14 @@ class ScDeployment {
   StreamResult infer_stream(const std::vector<Tensor>& inputs,
                             const StreamItemFn& on_item);
 
-  /// Aggregate wire traffic of the most recent infer_stream call. A
-  /// stream that fails on the wire loses its StreamResult (the error is
-  /// rethrown), but the faulted message still crossed the link — this is
-  /// how the serve layer keeps its traffic stats honest under loss.
-  /// Valid once infer_stream returned or threw; not meaningful while a
+  /// Wire traffic of the most recent infer / infer_batch / infer_stream
+  /// call, reset on entry and summed message by message as each crosses
+  /// the link — before its decode can throw. A call that fails after
+  /// sending (a CRC failure, a post-wire head error) loses its result, but
+  /// its messages still crossed the link; the serve layer reads them here
+  /// so failed work keeps its link accounting. Not meaningful while a
   /// stream is in flight.
-  struct WireTraffic {
-    int64_t wire_bytes = 0;
-    int64_t wire_bytes_raw = 0;
-    int64_t retransmits = 0;
-    int64_t fec_repaired = 0;
-    int64_t undelivered = 0;
-    double wire_time_s = 0.0;
-    double link_window = 0.0;  ///< window after the stream's last message
-  };
-  WireTraffic last_stream_traffic() const { return last_stream_traffic_; }
-
-  /// Aggregate wire traffic of the most recent infer_batch call,
-  /// accumulated message by message as the batch crosses the link. When
-  /// infer_batch throws *after* the wire loop (e.g. the post-wire
-  /// concat/head failure path), the traffic the batch consumed is still
-  /// here — the serve layer reads it on the error path so failed batches
-  /// keep their link accounting. Reset on entry to infer_batch.
-  WireTraffic last_batch_traffic() const { return last_batch_traffic_; }
+  const WireTally& last_traffic() const { return last_traffic_; }
 
   /// Edge-side working-set estimate (backbone params + activations).
   double edge_memory_bytes(const Shape& image_shape) const;
@@ -222,8 +174,9 @@ class ScDeployment {
  private:
   /// Serialises @p zb (per cfg_.encoding), frames it (per cfg_.codec),
   /// pushes it through the channel, and decodes the receiver's view.
-  /// Fills the wire fields of @p lat. Throws on CRC/frame corruption.
-  Tensor wire_roundtrip(const Tensor& zb, LatencyBreakdown& lat);
+  /// Sets @p wire to the message's tally and adds it to last_traffic_
+  /// before decoding. Throws on CRC/frame corruption.
+  Tensor wire_roundtrip(const Tensor& zb, WireTally& wire);
 
   /// Compiles backbone + head plans for per-sample image shape {C,H,W}
   /// (no-op when eager, training, already compiled for this shape, or a
@@ -240,8 +193,7 @@ class ScDeployment {
   Channel* channel_;
   DeviceProfile edge_, server_;
   ScDeploymentConfig cfg_;
-  WireTraffic last_stream_traffic_;
-  WireTraffic last_batch_traffic_;
+  WireTally last_traffic_;
 
   // Compiled-execution state. One executor per pipeline stage: the
   // backbone executor serves stage 1 (the edge thread during a stream),

@@ -50,12 +50,11 @@ struct Packet {
 
 }  // namespace
 
-LinkDelivery link_deliver(const LinkModel& link, double per_byte_s,
-                          double base_latency_s, Rng& rng,
-                          LinkSession* session,
-                          std::vector<uint8_t>& message) {
-  LinkDelivery out;
+WireTally link_deliver(const LinkModel& link, double per_byte_s,
+                       double base_latency_s, Rng& rng, LinkSession* session,
+                       std::vector<uint8_t>& message) {
   const int64_t n = static_cast<int64_t>(message.size());
+  WireTally out{.messages = 1, .bytes = n, .bytes_raw = n};
   // An empty message still costs one (empty) packet of setup time.
   const int64_t ndata =
       std::max<int64_t>(1, (n + link.mtu_bytes - 1) / link.mtu_bytes);
@@ -262,12 +261,6 @@ LinkDelivery link_deliver(const LinkModel& link, double per_byte_s,
   }
 
   out.window = session->cwnd;
-  int64_t delivered_bytes = 0;
-  for (const Packet& p : pkts)
-    if (!p.parity && p.delivered) delivered_bytes += p.bytes;
-  out.goodput_bytes_s =
-      out.time_s > 0.0 ? static_cast<double>(delivered_bytes) / out.time_s
-                       : 0.0;
   return out;
 }
 

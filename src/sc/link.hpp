@@ -84,16 +84,49 @@ struct LinkSession {
   double cwnd = 0.0;
 };
 
-/// Outcome of pushing one message through the packetised link.
-struct LinkDelivery {
-  double time_s = 0.0;        ///< modelled wall-clock including retransmits
-  int64_t packets = 0;        ///< data packets the message was split into
-  int64_t parity_packets = 0; ///< FEC parity packets sent alongside
-  int64_t retransmits = 0;    ///< extra attempts beyond one per packet
-  int64_t undelivered = 0;    ///< data packets erased after budget exhaustion
-  int64_t fec_repaired = 0;   ///< data packets rebuilt from parity (zero-RTT)
-  double window = 0.0;        ///< congestion window after this message
-  double goodput_bytes_s = 0.0;  ///< delivered payload bytes / time_s
+/// Wire accounting for one message or any sum of messages — the one type
+/// every layer (link, Channel, ScDeployment, the serve stats) reports the
+/// edge→server wire in. Counts and time add under +=; the window is
+/// sender state, so a sum keeps the latest nonzero one.
+struct WireTally {
+  int64_t messages = 0;
+  int64_t bytes = 0;           ///< bytes that crossed the link
+  /// Serialised bytes before the wire codec; equals bytes when the
+  /// message was not entropy-coded.
+  int64_t bytes_raw = 0;
+  int64_t packets = 0;         ///< data packets (0 without a LinkModel)
+  int64_t parity_packets = 0;  ///< FEC parity packets sent alongside
+  int64_t retransmits = 0;     ///< extra attempts beyond one per packet
+  int64_t fec_repaired = 0;    ///< data packets rebuilt from parity (zero-RTT)
+  /// Data packets erased after FEC and the retransmit budget both failed;
+  /// each surfaces upstream as a typed CRC/decode error, never silently.
+  int64_t undelivered = 0;
+  /// Modelled wire time including rounds, timeouts and jitter — the
+  /// paper's §4.2 transfer term.
+  double time_s = 0.0;
+  /// Sender congestion window after the last message (0 without a
+  /// LinkModel).
+  double window = 0.0;
+
+  WireTally& operator+=(const WireTally& o) {
+    messages += o.messages;
+    bytes += o.bytes;
+    bytes_raw += o.bytes_raw;
+    packets += o.packets;
+    parity_packets += o.parity_packets;
+    retransmits += o.retransmits;
+    fec_repaired += o.fec_repaired;
+    undelivered += o.undelivered;
+    time_s += o.time_s;
+    if (o.window > 0.0) window = o.window;
+    return *this;
+  }
+  bool operator==(const WireTally&) const = default;
+
+  /// Wire bytes per second of modelled wire time (0 before any time).
+  double goodput_bytes_s() const {
+    return time_s > 0.0 ? static_cast<double>(bytes) / time_s : 0.0;
+  }
 };
 
 /// Runs @p message through the packetised loss/FEC/window/retransmit
@@ -102,10 +135,11 @@ struct LinkDelivery {
 /// zero-filled). @p per_byte_s is the effective seconds-per-byte of the
 /// channel and @p base_latency_s its one-way propagation time; every
 /// window round costs one round trip plus the burst's serialisation and
-/// jitter. Precondition: validate_link(link) passed and link.enabled().
-LinkDelivery link_deliver(const LinkModel& link, double per_byte_s,
-                          double base_latency_s, Rng& rng,
-                          LinkSession* session,
-                          std::vector<uint8_t>& message);
+/// jitter. Returns the message's tally; the link sees no codec, so
+/// bytes_raw == bytes. Precondition: validate_link(link) passed and
+/// link.enabled().
+WireTally link_deliver(const LinkModel& link, double per_byte_s,
+                       double base_latency_s, Rng& rng, LinkSession* session,
+                       std::vector<uint8_t>& message);
 
 }  // namespace mtlsplit::sc

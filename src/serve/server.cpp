@@ -313,14 +313,9 @@ void ScServer::serve_plain(Worker& w, std::vector<Request>& batch) {
   try {
     Tensor joined =
         parts.size() == 1 ? std::move(parts[0]) : ops::concat_batch(parts);
-    infer_ran = true;  // infer_batch resets last_batch_traffic() on entry
+    infer_ran = true;  // infer_batch resets last_traffic() on entry
     sc::BatchResult br = w.deployment->infer_batch(joined);
-    stats_->on_batch(static_cast<int64_t>(batch.size()),
-                     serve::WireCounters{br.wire_bytes, br.wire_bytes_raw,
-                                         br.retransmits, br.fec_repaired,
-                                         br.undelivered, br.wire_time_s,
-                                         br.link_window},
-                     w.shard);
+    stats_->on_batch(static_cast<int64_t>(batch.size()), br.wire, w.shard);
     counted = true;
     size_t row = 0;
     const auto now = std::chrono::steady_clock::now();
@@ -353,13 +348,8 @@ void ScServer::serve_plain(Worker& w, std::vector<Request>& batch) {
         for (size_t k = 1; k < rows; ++k) {
           const sc::LatencyBreakdown& lat = br.items[row + k].result.latency;
           merged.latency.edge_compute_s += lat.edge_compute_s;
-          merged.latency.transfer_s += lat.transfer_s;
           merged.latency.server_compute_s += lat.server_compute_s;
-          merged.latency.wire_bytes += lat.wire_bytes;
-          merged.latency.wire_bytes_raw += lat.wire_bytes_raw;
-          merged.latency.retransmits += lat.retransmits;
-          merged.latency.fec_repaired += lat.fec_repaired;
-          merged.latency.undelivered += lat.undelivered;
+          merged.latency.wire += lat.wire;
         }
         r.promise.set_value(std::move(merged));
         stats_->on_request(seconds_between(r.enqueued_at, now), true);
@@ -378,17 +368,12 @@ void ScServer::serve_plain(Worker& w, std::vector<Request>& batch) {
       // The wire work already happened even though the batch failed: a
       // post-wire throw (decode/scatter) rode real bytes, retransmits and
       // FEC repairs, and dropping them would understate link spend. The
-      // deployment's per-batch tally survives the throw; read it back the
-      // same way the stream path does. A pre-infer throw (shape mismatch
-      // during concat) genuinely moved nothing, so the tally is zero.
-      const sc::ScDeployment::WireTraffic t =
-          infer_ran ? w.deployment->last_batch_traffic()
-                    : sc::ScDeployment::WireTraffic{};
+      // deployment's tally survives the throw; read it back the same way
+      // the stream path does. A pre-infer throw (shape mismatch during
+      // concat) genuinely moved nothing, so the tally is zero.
       stats_->on_batch(static_cast<int64_t>(batch.size()),
-                       serve::WireCounters{t.wire_bytes, t.wire_bytes_raw,
-                                           t.retransmits, t.fec_repaired,
-                                           t.undelivered, t.wire_time_s,
-                                           t.link_window},
+                       infer_ran ? w.deployment->last_traffic()
+                                 : sc::WireTally{},
                        w.shard);
     }
     const auto now = std::chrono::steady_clock::now();
@@ -437,15 +422,9 @@ void ScServer::serve_stream_request(Worker& w, Request& r) {
   // Traffic comes from the deployment's stream tally, not the emitted
   // chunks: a message whose decode failed still crossed the wire (and
   // consumed retransmits), and the stats must say so.
-  const sc::ScDeployment::WireTraffic t =
-      stream_ran ? w.deployment->last_stream_traffic()
-                 : sc::ScDeployment::WireTraffic{};
-  stats_->on_batch(1,
-                   serve::WireCounters{t.wire_bytes, t.wire_bytes_raw,
-                                       t.retransmits, t.fec_repaired,
-                                       t.undelivered, t.wire_time_s,
-                                       t.link_window},
-                   w.shard);
+  stats_->on_batch(
+      1, stream_ran ? w.deployment->last_traffic() : sc::WireTally{},
+      w.shard);
   stats_->on_request(seconds_between(r.enqueued_at, now), ok);
 }
 

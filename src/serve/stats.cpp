@@ -104,30 +104,20 @@ void StatsCollector::on_submit() {
                                            std::memory_order_relaxed);
 }
 
-void StatsCollector::on_batch(int64_t batch_size, const WireCounters& wire,
+void StatsCollector::on_batch(int64_t batch_size, const sc::WireTally& wire,
                               size_t shard) {
   check_arg(batch_size >= 1, "StatsCollector: empty batch");
   check_arg(shard < shards_.size(), "StatsCollector: shard out of range");
   batches_->inc();
-  wire_bytes_->add(wire.wire_bytes);
-  wire_bytes_raw_->add(wire.wire_bytes_raw);
+  wire_bytes_->add(wire.bytes);
+  wire_bytes_raw_->add(wire.bytes_raw);
   retransmits_->add(wire.retransmits);
   fec_repaired_->add(wire.fec_repaired);
   undelivered_->add(wire.undelivered);
-  wire_time_s_->add(wire.wire_time_s);
-  // A wire-less batch (window 0) leaves the link gauge alone.
+  wire_time_s_->add(wire.time_s);
   if (wire.window > 0.0) shards_[shard].window->set(wire.window);
   const int64_t bucket = std::min(batch_size, ServeStats::kBatchHistMax);
   batch_hist_[static_cast<size_t>(bucket)]->inc();
-}
-
-void StatsCollector::on_batch(int64_t batch_size, int64_t wire_bytes,
-                              int64_t wire_bytes_raw, int64_t retransmits) {
-  WireCounters wire;
-  wire.wire_bytes = wire_bytes;
-  wire.wire_bytes_raw = wire_bytes_raw < 0 ? wire_bytes : wire_bytes_raw;
-  wire.retransmits = retransmits;
-  on_batch(batch_size, wire);
 }
 
 void StatsCollector::on_request(double e2e_latency_s, bool ok) {

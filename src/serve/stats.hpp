@@ -26,25 +26,13 @@
 #include <memory>
 #include <vector>
 
+#include "sc/link.hpp"
 #include "serve/p2_quantile.hpp"
 #include "serve/telemetry.hpp"
 
 namespace mtlsplit::serve {
 
 using telemetry::saturating_add;
-
-/// Wire-side deltas of one server batch, as reported to
-/// StatsCollector::on_batch. Mirrors the link counters ScDeployment
-/// surfaces (BatchResult / WireTraffic).
-struct WireCounters {
-  int64_t wire_bytes = 0;      ///< bytes that crossed the link
-  int64_t wire_bytes_raw = 0;  ///< pre-codec serialised bytes
-  int64_t retransmits = 0;     ///< link-layer retransmissions
-  int64_t fec_repaired = 0;    ///< packets rebuilt from FEC parity
-  int64_t undelivered = 0;     ///< packets erased (typed failure upstream)
-  double wire_time_s = 0.0;    ///< modelled link time (goodput denominator)
-  double window = 0.0;         ///< sender congestion window after the batch
-};
 
 struct ServeStats {
   /// Batch sizes >= kBatchHistMax land in the final (overflow) bucket, so
@@ -134,13 +122,10 @@ class StatsCollector {
 
   /// Marks wall-clock start at the first accepted request.
   void on_submit();
-  /// Full wire accounting for one server batch executed by @p shard.
-  void on_batch(int64_t batch_size, const WireCounters& wire,
+  /// One server batch executed by @p shard and the wire traffic it sent.
+  /// A zero window (no LinkModel) leaves the shard's window gauge alone.
+  void on_batch(int64_t batch_size, const sc::WireTally& wire,
                 size_t shard = 0);
-  /// Convenience overload for wire-less callers/tests:
-  /// @p wire_bytes_raw defaults to @p wire_bytes (codec off).
-  void on_batch(int64_t batch_size, int64_t wire_bytes,
-                int64_t wire_bytes_raw = -1, int64_t retransmits = 0);
   void on_request(double e2e_latency_s, bool ok);
   /// Requests that aged out between pop and dispatch (ExpiryPhase
   /// kDispatch) — admission/queue expiries are tallied by the queue.

@@ -41,7 +41,7 @@ TEST(Channel, StatsAccumulate) {
   (void)ch.transmit(std::vector<uint8_t>(500, 0));
   EXPECT_EQ(ch.messages_sent(), 2);
   EXPECT_EQ(ch.total_bytes(), 1500);
-  EXPECT_NEAR(ch.total_time(), 1500.0 * 8.0 / 1e6, 1e-9);
+  EXPECT_NEAR(ch.totals().time_s, 1500.0 * 8.0 / 1e6, 1e-9);
   ch.reset_stats();
   EXPECT_EQ(ch.messages_sent(), 0);
   EXPECT_EQ(ch.total_bytes(), 0);

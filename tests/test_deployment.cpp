@@ -46,7 +46,7 @@ TEST(ScDeployment, Int8EncodingCloseToFp32) {
   const auto rf = f32.infer(rig.x);
   const auto ri = i8.infer(rig.x);
   // int8 payload is ~4x smaller...
-  EXPECT_LT(ri.latency.wire_bytes * 3, rf.latency.wire_bytes);
+  EXPECT_LT(ri.latency.wire.bytes * 3, rf.latency.wire.bytes);
   // ...and logits stay close.
   for (size_t j = 0; j < 2; ++j)
     EXPECT_TRUE(ri.logits[j].allclose(rf.logits[j], 0.35f));
@@ -59,16 +59,16 @@ TEST(ScDeployment, LatencyComponentsPopulated) {
                        sc::rtx3090_server());
   const auto r = dep.infer(rig.x);
   EXPECT_GT(r.latency.edge_compute_s, 0.0);
-  EXPECT_GT(r.latency.transfer_s, 0.01);
+  EXPECT_GT(r.latency.wire.time_s, 0.01);
   EXPECT_GT(r.latency.server_compute_s, 0.0);
-  EXPECT_GT(r.latency.wire_bytes, 0);
+  EXPECT_GT(r.latency.wire.bytes, 0);
   EXPECT_NEAR(r.latency.total_s(),
-              r.latency.edge_compute_s + r.latency.transfer_s +
+              r.latency.edge_compute_s + r.latency.wire.time_s +
                   r.latency.server_compute_s,
               1e-12);
   // Channel statistics recorded the message.
   EXPECT_EQ(ch.messages_sent(), 1);
-  EXPECT_EQ(ch.total_bytes(), r.latency.wire_bytes);
+  EXPECT_EQ(ch.total_bytes(), r.latency.wire.bytes);
 }
 
 TEST(ScDeployment, CorruptedChannelRaises) {
@@ -139,15 +139,19 @@ TEST(ScDeployment, InferStreamEmptyInputIsANoop) {
 
 TEST(RocDeployment, MatchesMonolithicAndShipsRawInput) {
   Rig rig;
-  sc::Channel ch({.bandwidth_bps = 1e9});
+  sc::Channel ch({.bandwidth_bps = 1e9, .link = {.mtu_bytes = 256}});
   sc::RocDeployment dep(*rig.model, ch, sc::rtx3090_server());
   const auto mono = rig.model->forward(rig.x);
   const auto r = dep.infer(rig.x);
   for (size_t j = 0; j < 2; ++j)
     EXPECT_TRUE(r.logits[j].equals(mono[j]));
   // RoC wire payload == raw image bytes (+ header).
-  EXPECT_GE(r.latency.wire_bytes, rig.x.numel() * 4);
+  EXPECT_GE(r.latency.wire.bytes, rig.x.numel() * 4);
   EXPECT_EQ(r.latency.edge_compute_s, 0.0);
+  // The packetised link's tally arrives whole, congestion window included
+  // (RoC used to report window 0 here).
+  EXPECT_EQ(r.latency.wire, ch.last_message());
+  EXPECT_DOUBLE_EQ(r.latency.wire.window, ch.window());
 }
 
 TEST(RocVsSc, ScShipsFarFewerBytes) {
@@ -159,7 +163,7 @@ TEST(RocVsSc, ScShipsFarFewerBytes) {
   sc::RocDeployment rocd(*rig.model, ch, sc::rtx3090_server());
   const auto rs = scd.infer(rig.x);
   const auto rr = rocd.infer(rig.x);
-  EXPECT_LT(rs.latency.wire_bytes, rr.latency.wire_bytes);
+  EXPECT_LT(rs.latency.wire.bytes, rr.latency.wire.bytes);
 }
 
 TEST(LocDeployment, RunsWhenModelFits) {
@@ -170,8 +174,7 @@ TEST(LocDeployment, RunsWhenModelFits) {
   const auto r = dep.infer(rig.x);
   for (size_t j = 0; j < 2; ++j)
     EXPECT_TRUE(r.logits[j].equals(mono[j]));
-  EXPECT_EQ(r.latency.wire_bytes, 0);
-  EXPECT_EQ(r.latency.transfer_s, 0.0);
+  EXPECT_EQ(r.latency.wire, sc::WireTally{});
   EXPECT_GT(r.latency.edge_compute_s, 0.0);
 }
 

@@ -12,7 +12,8 @@
 // repaired with ZERO retransmit round trips (the zero-RTT drill the
 // bench asserts at 1% loss); more erasures than parity fall back to the
 // windowed retransmit path and still deliver bitwise; goodput is
-// non-increasing in loss rate under the congestion-window model.
+// non-increasing in loss rate under the congestion-window model; a
+// session's totals() are exactly the += sum of its per-message tallies.
 //
 // The fuzz seed is environment-overridable (MTLSPLIT_FUZZ_SEED) so CI
 // can loop the suite with fresh corpora — see the randomized-decode
@@ -205,11 +206,11 @@ TEST(FecLink, OneErasurePerGroupRepairsWithZeroRetransmits) {
   const auto received = ch.transmit(msg);
   EXPECT_EQ(received, msg);  // repaired spans are bitwise the original
   EXPECT_EQ(ch.packets_sent(), 24);
-  EXPECT_EQ(ch.parity_packets_sent(), 3);
+  EXPECT_EQ(ch.totals().parity_packets, 3);
   EXPECT_EQ(ch.fec_repaired(), 3);
   EXPECT_EQ(ch.retransmits(), 0);  // zero extra round trips
   EXPECT_EQ(ch.undelivered(), 0);
-  EXPECT_EQ(ch.last_message_fec_repaired(), 3);
+  EXPECT_EQ(ch.last_message().fec_repaired, 3);
 }
 
 TEST(FecLink, BeyondParityBudgetFallsBackToRetransmit) {
@@ -244,7 +245,7 @@ TEST(FecLink, ExhaustedBudgetBeyondParityIsTypedNeverSilent) {
   const auto received = ch.transmit(msg);
   EXPECT_NE(received, msg);
   EXPECT_EQ(ch.undelivered(), 4);
-  EXPECT_EQ(ch.last_message_undelivered(), 4);
+  EXPECT_EQ(ch.last_message().undelivered, 4);
   EXPECT_EQ(ch.retransmits(), 0);
 }
 
@@ -267,8 +268,7 @@ TEST(FecLink, GoodputIsNonIncreasingInLossRate) {
                              .fec_parity = 1}});
     for (uint64_t i = 0; i < 60; ++i)
       (void)ch.transmit(test_message(2000, i));
-    const double goodput =
-        static_cast<double>(ch.total_bytes()) / ch.total_time();
+    const double goodput = ch.totals().goodput_bytes_s();
     EXPECT_LE(goodput, prev_goodput) << "loss " << loss;
     prev_goodput = goodput;
   }
@@ -276,9 +276,10 @@ TEST(FecLink, GoodputIsNonIncreasingInLossRate) {
 
 TEST(FecLink, RandomizedLossSweepNeverDeliversSilentlyWrong) {
   // Fuzz the link end to end: random message sizes, group shapes, and
-  // loss rates. Whatever the loss draws do, the delivery contract holds:
-  // undelivered == 0 implies a bitwise payload, undelivered > 0 implies
-  // a visibly damaged one, and the counters stay consistent.
+  // loss rates, several messages per session. Whatever the loss draws
+  // do, the delivery contract holds: undelivered == 0 implies a bitwise
+  // payload, undelivered > 0 implies a visibly damaged one, and the
+  // session's totals() are exactly the += sum of its per-message tallies.
   Rng rng(fuzz_seed() + 1);
   for (int iter = 0; iter < 40; ++iter) {
     sc::ChannelConfig cfg{.bandwidth_bps = 1e8,
@@ -291,19 +292,29 @@ TEST(FecLink, RandomizedLossSweepNeverDeliversSilentlyWrong) {
     cfg.link.fec_data = rng.randint(1, 10);
     cfg.link.fec_parity = rng.randint(1, 3);
     sc::Channel ch(cfg);
-    const auto msg = test_message(
-        static_cast<size_t>(rng.randint(1, 4000)), 1000 + iter);
-    const auto received = ch.transmit(msg);
-    ASSERT_EQ(received.size(), msg.size());
-    if (ch.undelivered() == 0) {
-      EXPECT_EQ(received, msg) << "iter " << iter;
-    } else {
-      EXPECT_NE(received, msg) << "iter " << iter;
+    sc::WireTally sum;
+    const int64_t messages = rng.randint(2, 5);
+    for (int64_t m = 0; m < messages; ++m) {
+      const auto msg = test_message(static_cast<size_t>(rng.randint(1, 4000)),
+                                    static_cast<uint64_t>(1000 + 8 * iter + m));
+      const auto received = ch.transmit(msg);
+      const sc::WireTally& last = ch.last_message();
+      ASSERT_EQ(received.size(), msg.size());
+      if (last.undelivered == 0) {
+        EXPECT_EQ(received, msg) << "iter " << iter << " message " << m;
+      } else {
+        EXPECT_NE(received, msg) << "iter " << iter << " message " << m;
+      }
+      EXPECT_EQ(last.messages, 1);
+      EXPECT_EQ(last.bytes, static_cast<int64_t>(msg.size()));
+      EXPECT_GE(last.fec_repaired, 0);
+      EXPECT_GE(last.retransmits, 0);
+      EXPECT_LE(last.undelivered, last.packets);
+      EXPECT_GE(last.goodput_bytes_s(), 0.0);
+      sum += last;
     }
-    EXPECT_GE(ch.fec_repaired(), 0);
-    EXPECT_GE(ch.retransmits(), 0);
-    EXPECT_LE(ch.undelivered(), ch.packets_sent());
-    EXPECT_GE(ch.last_message_goodput_bytes_s(), 0.0);
+    EXPECT_EQ(ch.totals(), sum) << "iter " << iter;
+    EXPECT_EQ(ch.totals().window, ch.window()) << "iter " << iter;
   }
 }
 

@@ -69,11 +69,9 @@ TEST(LinkChannel, LossAndJitterAreDeterministicGivenSeed) {
   for (uint64_t i = 0; i < 20; ++i) {
     const auto msg = test_message(950, i);
     EXPECT_EQ(x.transmit(msg), y.transmit(msg)) << "message " << i;
-    EXPECT_DOUBLE_EQ(x.last_message_time_s(), y.last_message_time_s());
-    EXPECT_EQ(x.last_message_retransmits(), y.last_message_retransmits());
+    EXPECT_EQ(x.last_message(), y.last_message());
   }
-  EXPECT_DOUBLE_EQ(x.total_time(), y.total_time());
-  EXPECT_EQ(x.retransmits(), y.retransmits());
+  EXPECT_EQ(x.totals(), y.totals());
   EXPECT_GT(x.retransmits(), 0);  // 20% loss over 200 packets must bite
   EXPECT_EQ(x.packets_sent(), 20 * 10);
 }
@@ -92,9 +90,9 @@ TEST(LinkChannel, ForkSessionsDriftIndependentlyButReproducibly) {
     (void)s1.transmit(msg);
     (void)s2.transmit(msg);
     (void)s1_again.transmit(msg);
-    t1 += s1.last_message_time_s();
-    t2 += s2.last_message_time_s();
-    t1_again += s1_again.last_message_time_s();
+    t1 += s1.last_message().time_s;
+    t2 += s2.last_message().time_s;
+    t1_again += s1_again.last_message().time_s;
   }
   EXPECT_DOUBLE_EQ(t1, t1_again);  // same session id -> same schedule
   EXPECT_EQ(s1.retransmits(), s1_again.retransmits());
@@ -116,7 +114,7 @@ TEST(LinkChannel, RetransmitRepairsKthPacketLossExactlyOnce) {
   EXPECT_EQ(received, msg);  // loss is repaired below the payload
   EXPECT_EQ(ch.packets_sent(), 10);
   EXPECT_EQ(ch.retransmits(), 3);
-  EXPECT_EQ(ch.last_message_retransmits(), 3);
+  EXPECT_EQ(ch.last_message().retransmits, 3);
 
   // The packet counter is a session stream: the next message continues
   // it (packets 11..20 -> seq 12, 15, 18 faulted).
@@ -154,8 +152,8 @@ TEST(LinkChannel, ModelledTimeIsMonotoneInBytes) {
   double prev = 0.0;
   for (size_t n : {0u, 1u, 150u, 200u, 201u, 1000u, 5000u, 20000u}) {
     (void)ch.transmit(std::vector<uint8_t>(n, 1));
-    EXPECT_GE(ch.last_message_time_s(), prev) << "bytes " << n;
-    prev = ch.last_message_time_s();
+    EXPECT_GE(ch.last_message().time_s, prev) << "bytes " << n;
+    prev = ch.last_message().time_s;
   }
 }
 
@@ -171,9 +169,9 @@ TEST(LinkChannel, ModelledTimeIsMonotoneInLossRate) {
                     .link = {.mtu_bytes = 100, .loss_prob = loss}});
     for (uint64_t i = 0; i < 100; ++i)
       (void)ch.transmit(test_message(1000, i));
-    EXPECT_GT(ch.total_time(), prev_time) << "loss " << loss;
+    EXPECT_GT(ch.totals().time_s, prev_time) << "loss " << loss;
     EXPECT_GT(ch.retransmits(), prev_rt) << "loss " << loss;
-    prev_time = ch.total_time();
+    prev_time = ch.totals().time_s;
     prev_rt = ch.retransmits();
   }
 }
@@ -190,12 +188,12 @@ TEST(LinkChannel, PacketisationAccountsOverheadAndWindowRounds) {
   (void)ch.transmit(std::vector<uint8_t>(1000, 7));
   const double per_byte = 8.0 / 1e8;
   const double want = 3 * (2 * 0.001) + 10 * (100 + 32) * per_byte;
-  EXPECT_NEAR(ch.last_message_time_s(), want, 1e-12);
-  EXPECT_GT(ch.last_message_time_s(), ch.transfer_time(1000));
+  EXPECT_NEAR(ch.last_message().time_s, want, 1e-12);
+  EXPECT_GT(ch.last_message().time_s, ch.transfer_time(1000));
   // Three clean rounds opened the window additively: 4 -> 7.
   EXPECT_DOUBLE_EQ(ch.window(), 7.0);
-  EXPECT_DOUBLE_EQ(ch.last_message_time_s() *
-                       ch.last_message_goodput_bytes_s(),
+  EXPECT_DOUBLE_EQ(ch.last_message().time_s *
+                       ch.last_message().goodput_bytes_s(),
                    1000.0);
 }
 
@@ -216,9 +214,9 @@ TEST(LinkChannel, WindowBacksOffOnLossAndRecovers) {
   (void)clean.transmit(msg);
   EXPECT_GT(lossy.retransmits(), 0);
   EXPECT_LT(lossy.window(), clean.window());
-  EXPECT_GT(lossy.last_message_time_s(), clean.last_message_time_s());
-  EXPECT_LT(lossy.last_message_goodput_bytes_s(),
-            clean.last_message_goodput_bytes_s());
+  EXPECT_GT(lossy.last_message().time_s, clean.last_message().time_s);
+  EXPECT_LT(lossy.last_message().goodput_bytes_s(),
+            clean.last_message().goodput_bytes_s());
 }
 
 // ------------------------------------------------- undelivered plumbing
@@ -238,7 +236,7 @@ TEST(LinkChannel, UndeliveredCounterMatchesInjectedDropSchedule) {
   const auto received = ch.transmit(msg);
   EXPECT_EQ(ch.packets_sent(), 12);
   EXPECT_EQ(ch.undelivered(), 3);  // packets 4, 8, 12
-  EXPECT_EQ(ch.last_message_undelivered(), 3);
+  EXPECT_EQ(ch.last_message().undelivered, 3);
   EXPECT_EQ(ch.retransmits(), 0);  // no budget, so erasure — not retry
   EXPECT_NE(received, msg);        // the zeroed spans are visible...
   // ...and the next message continues the session schedule: packets
@@ -281,7 +279,7 @@ TEST(LinkChannel, JitterDrawsKeepDoublePrecision) {
   const auto msg = test_message(1000, 2);
   (void)a.transmit(msg);
   (void)b.transmit(msg);
-  EXPECT_NE(a.last_message_time_s(), b.last_message_time_s());
+  EXPECT_NE(a.last_message().time_s, b.last_message().time_s);
   // The jitter component carries double-mantissa bits: subtracting the
   // deterministic (jitter-free) time leaves a residue no float-grained
   // draw sum would produce.
@@ -289,7 +287,7 @@ TEST(LinkChannel, JitterDrawsKeepDoublePrecision) {
   quiet.link.jitter_s = 0.0;
   sc::Channel q(quiet);
   (void)q.transmit(msg);
-  const double jitter_sum = a.last_message_time_s() - q.last_message_time_s();
+  const double jitter_sum = a.last_message().time_s - q.last_message().time_s;
   EXPECT_GT(jitter_sum, 0.0);
   EXPECT_NE(jitter_sum,
             static_cast<double>(static_cast<float>(jitter_sum)));
@@ -301,7 +299,7 @@ TEST(LinkChannel, DisabledLinkKeepsLegacySemantics) {
   sc::Channel ch({.bandwidth_bps = 1e6, .base_latency_s = 0.01});
   const auto msg = test_message(1234, 1);
   EXPECT_EQ(ch.transmit(msg), msg);
-  EXPECT_DOUBLE_EQ(ch.last_message_time_s(), ch.transfer_time(1234));
+  EXPECT_DOUBLE_EQ(ch.last_message().time_s, ch.transfer_time(1234));
   EXPECT_EQ(ch.packets_sent(), 0);
   EXPECT_EQ(ch.retransmits(), 0);
 }

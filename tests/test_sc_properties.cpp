@@ -49,14 +49,14 @@ TEST_P(SplitExactness, LatencyDecomposesAdditively) {
   sc::ScDeployment dep(*model, ch, sc::jetson_nano(), sc::rtx3090_server());
   const auto r = dep.infer(x);
   EXPECT_GT(r.latency.edge_compute_s, 0.0);
-  EXPECT_GE(r.latency.transfer_s, 0.02);
+  EXPECT_GE(r.latency.wire.time_s, 0.02);
   EXPECT_GT(r.latency.server_compute_s, 0.0);
   EXPECT_DOUBLE_EQ(r.latency.total_s(),
-                   r.latency.edge_compute_s + r.latency.transfer_s +
+                   r.latency.edge_compute_s + r.latency.wire.time_s +
                        r.latency.server_compute_s);
   // Transfer time must equal the channel's model for the shipped bytes.
-  EXPECT_DOUBLE_EQ(r.latency.transfer_s,
-                   ch.transfer_time(r.latency.wire_bytes));
+  EXPECT_DOUBLE_EQ(r.latency.wire.time_s,
+                   ch.transfer_time(r.latency.wire.bytes));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFamilies, SplitExactness,
@@ -144,9 +144,9 @@ TEST(ByteOrdering, RocGreaterThanScGreaterThanInt8) {
                          sc::rtx3090_server());
     sc::ScDeployment sci(*model, ch, sc::jetson_nano(), sc::rtx3090_server(),
                          {.encoding = sc::ZbEncoding::kInt8});
-    const auto br = roc.infer(x).latency.wire_bytes;
-    const auto bf = scf.infer(x).latency.wire_bytes;
-    const auto bi = sci.infer(x).latency.wire_bytes;
+    const auto br = roc.infer(x).latency.wire.bytes;
+    const auto bf = scf.infer(x).latency.wire.bytes;
+    const auto bi = sci.infer(x).latency.wire.bytes;
     EXPECT_GT(br, bf) << models::backbone_name(kind);
     EXPECT_GT(bf, bi) << models::backbone_name(kind);
   }

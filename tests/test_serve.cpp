@@ -162,10 +162,9 @@ TEST(InferBatch, BitwiseIdenticalToPerRequestInferFp32) {
           << "request " << i << " task " << j << " diverged in the batch";
     EXPECT_DOUBLE_EQ(got.latency.edge_compute_s,
                      expected[i].latency.edge_compute_s);
-    EXPECT_DOUBLE_EQ(got.latency.transfer_s, expected[i].latency.transfer_s);
     EXPECT_DOUBLE_EQ(got.latency.server_compute_s,
                      expected[i].latency.server_compute_s);
-    EXPECT_EQ(got.latency.wire_bytes, expected[i].latency.wire_bytes);
+    EXPECT_EQ(got.latency.wire, expected[i].latency.wire);
   }
 }
 
@@ -378,12 +377,26 @@ TEST(ScServer, MultiSampleRequestIsServedAsOneUnit) {
                        sc::rtx3090_server());
   const sc::InferenceResult one = ref.infer(ops::slice_batch(x3, 0, 1));
   EXPECT_DOUBLE_EQ(got.latency.edge_compute_s, 3 * one.latency.edge_compute_s);
-  EXPECT_DOUBLE_EQ(got.latency.transfer_s, 3 * one.latency.transfer_s);
+  EXPECT_DOUBLE_EQ(got.latency.wire.time_s, 3 * one.latency.wire.time_s);
   EXPECT_DOUBLE_EQ(got.latency.server_compute_s,
                    3 * one.latency.server_compute_s);
-  EXPECT_EQ(got.latency.wire_bytes, 3 * one.latency.wire_bytes);
+  EXPECT_EQ(got.latency.wire.bytes, 3 * one.latency.wire.bytes);
   server.shutdown();
   EXPECT_EQ(server.stats().completed, 1);
+
+  // Over a packetised link the merged tally is all three messages', not
+  // row 0's: the window is the session's after the last row, and goodput
+  // is summed bytes over summed time.
+  sc::Channel session({.bandwidth_bps = 1e9,
+                       .base_latency_s = 0.0001,
+                       .link = {.mtu_bytes = 64}});
+  serve::ScServer packetised({rig.models[0].get()}, {&session},
+                             sc::jetson_nano(), sc::rtx3090_server());
+  const sc::InferenceResult pk = packetised.submit(x3.clone()).get();
+  packetised.shutdown();
+  EXPECT_EQ(session.messages_sent(), 3);
+  EXPECT_EQ(pk.latency.wire, session.totals());
+  EXPECT_DOUBLE_EQ(pk.latency.wire.window, session.window());
 }
 
 TEST(ScServer, StreamedChunksAreBitwiseIdenticalToSequentialInfer) {

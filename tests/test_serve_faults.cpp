@@ -256,7 +256,7 @@ TEST(FaultInject, FailedWholeBatchKeepsItsWireAccounting) {
   EXPECT_GT(swapper.total_bytes(), 0);
   EXPECT_EQ(s.wire_bytes, swapper.total_bytes());
   EXPECT_EQ(s.wire_bytes_raw, swapper.total_bytes());  // codec off
-  EXPECT_DOUBLE_EQ(s.wire_time_s, swapper.total_time());
+  EXPECT_DOUBLE_EQ(s.wire_time_s, swapper.totals().time_s);
   EXPECT_EQ(s.retransmits, swapper.retransmits());
   EXPECT_GT(s.goodput_bytes_s(), 0.0);
 }
@@ -334,8 +334,8 @@ TEST(FaultInject, LossyLinkDrillSettlesEveryRequestOnceAndBitwise) {
       for (size_t j = 0; j < want.logits.size(); ++j)
         EXPECT_TRUE(got.logits[j].equals(want.logits[j]))
             << "request " << i << " diverged under the lossy link";
-      wire += got.latency.wire_bytes;
-      wire_raw += got.latency.wire_bytes_raw;
+      wire += got.latency.wire.bytes;
+      wire_raw += got.latency.wire.bytes_raw;
     } catch (const std::invalid_argument&) {
       ++settled;  // an exhausted retransmit budget is a typed wire error
     }

@@ -125,48 +125,44 @@ TEST(SaturatingAdd, ClampsInsteadOfWrapping) {
 TEST(ServeStats, CountersSaturateOnLongRuns) {
   const int64_t max = std::numeric_limits<int64_t>::max();
   StatsCollector c;
-  c.on_batch(1, max);
-  c.on_batch(1, max);  // would wrap negative with plain +=
+  c.on_batch(1, {.bytes = max, .bytes_raw = max});
+  c.on_batch(1, {.bytes = max, .bytes_raw = max});  // plain += would wrap
   const ServeStats s = c.snapshot();
   EXPECT_EQ(s.wire_bytes, max);
-  EXPECT_EQ(s.wire_bytes_raw, max);  // defaulted raw tally saturates too
+  EXPECT_EQ(s.wire_bytes_raw, max);
   EXPECT_EQ(s.batches, 2);
 }
 
-TEST(ServeStats, WireTrafficSplitsCompressedRawAndRetransmits) {
+TEST(ServeStats, WireBytesSplitCompressedRawAndRetransmits) {
   StatsCollector c;
   // Codec on: compressed bytes crossed, raw bytes would have.
-  c.on_batch(2, 600, 1000, 3);
-  c.on_batch(1, 400, 800, 0);
-  // Codec off (two-argument form): raw mirrors the on-wire bytes.
-  c.on_batch(1, 250);
+  c.on_batch(2, {.bytes = 600, .bytes_raw = 1000, .retransmits = 3});
+  c.on_batch(1, {.bytes = 400, .bytes_raw = 800});
+  // Codec off: raw mirrors the on-wire bytes.
+  c.on_batch(1, {.bytes = 250, .bytes_raw = 250});
   const ServeStats s = c.snapshot();
   EXPECT_EQ(s.wire_bytes, 600 + 400 + 250);
   EXPECT_EQ(s.wire_bytes_raw, 1000 + 800 + 250);
   EXPECT_EQ(s.retransmits, 3);
 }
 
-TEST(ServeStats, WireCountersAccumulateFecAndGoodput) {
+TEST(ServeStats, WireTallyAccumulatesFecAndGoodput) {
   // Full wire accounting: FEC repairs and erasures accumulate, modelled
   // link time sums into the goodput denominator, and the window tracks
   // the most recent batch's sender state.
   StatsCollector c;
-  serve::WireCounters w1;
-  w1.wire_bytes = 1000;
-  w1.wire_bytes_raw = 1600;
-  w1.retransmits = 2;
-  w1.fec_repaired = 3;
-  w1.undelivered = 1;
-  w1.wire_time_s = 0.5;
-  w1.window = 8.0;
-  serve::WireCounters w2;
-  w2.wire_bytes = 500;
-  w2.wire_bytes_raw = 700;
-  w2.fec_repaired = 1;
-  w2.wire_time_s = 0.25;
-  w2.window = 4.0;
-  c.on_batch(2, w1);
-  c.on_batch(1, w2);
+  c.on_batch(2, {.bytes = 1000,
+                 .bytes_raw = 1600,
+                 .retransmits = 2,
+                 .fec_repaired = 3,
+                 .undelivered = 1,
+                 .time_s = 0.5,
+                 .window = 8.0});
+  c.on_batch(1, {.bytes = 500,
+                 .bytes_raw = 700,
+                 .fec_repaired = 1,
+                 .time_s = 0.25,
+                 .window = 4.0});
   const ServeStats s = c.snapshot();
   EXPECT_EQ(s.wire_bytes, 1500);
   EXPECT_EQ(s.wire_bytes_raw, 2300);
@@ -176,9 +172,9 @@ TEST(ServeStats, WireCountersAccumulateFecAndGoodput) {
   EXPECT_DOUBLE_EQ(s.wire_time_s, 0.75);
   EXPECT_DOUBLE_EQ(s.link_window, 4.0);  // latest batch wins
   EXPECT_DOUBLE_EQ(s.goodput_bytes_s(), 1500.0 / 0.75);
-  // A wire-less batch (legacy overload) leaves the link fields alone and
-  // the goodput denominator unchanged.
-  c.on_batch(1, 100);
+  // A wire-less batch leaves the link fields alone and the goodput
+  // denominator unchanged.
+  c.on_batch(1, {.bytes = 100, .bytes_raw = 100});
   const ServeStats s2 = c.snapshot();
   EXPECT_EQ(s2.fec_repaired, 4);
   EXPECT_DOUBLE_EQ(s2.link_window, 4.0);
@@ -187,15 +183,15 @@ TEST(ServeStats, WireCountersAccumulateFecAndGoodput) {
 
 TEST(ServeStats, GoodputIsZeroWithoutWireTime) {
   StatsCollector c;
-  c.on_batch(1, 100);
+  c.on_batch(1, {.bytes = 100, .bytes_raw = 100});
   EXPECT_DOUBLE_EQ(c.snapshot().goodput_bytes_s(), 0.0);
 }
 
 TEST(ServeStats, BatchHistogramIsBoundedWithOverflowBucket) {
   StatsCollector c;
-  c.on_batch(3, 10);
-  c.on_batch(ServeStats::kBatchHistMax + 500, 10);  // lands in overflow
-  c.on_batch(100000, 10);
+  c.on_batch(3, {});
+  c.on_batch(ServeStats::kBatchHistMax + 500, {});  // lands in overflow
+  c.on_batch(100000, {});
   const ServeStats s = c.snapshot();
   ASSERT_EQ(s.batch_hist.size(),
             static_cast<size_t>(ServeStats::kBatchHistMax) + 1);
@@ -209,7 +205,7 @@ TEST(ServeStats, SnapshotMemoryDoesNotGrowWithRequestCount) {
   std::lognormal_distribution<double> lat(-6.0, 0.5);
   for (int i = 0; i < 10000; ++i) {
     c.on_submit();
-    c.on_batch(4, 256);
+    c.on_batch(4, {.bytes = 256, .bytes_raw = 256});
     c.on_request(lat(gen), true);
   }
   const ServeStats s = c.snapshot();
@@ -253,14 +249,9 @@ TEST(ServeStats, PerShardLinkWindowsDoNotClobberEachOther) {
   // wide-open window. Each shard now reports its own gauge; the scalar
   // compatibility field is the fleet-wide maximum.
   StatsCollector c(nullptr, /*num_shards=*/2);
-  serve::WireCounters w0;
-  w0.wire_bytes = 100;
-  w0.wire_time_s = 0.1;
-  w0.window = 8.0;
-  serve::WireCounters w1 = w0;
-  w1.window = 3.0;
-  c.on_batch(1, w0, /*shard=*/0);
-  c.on_batch(1, w1, /*shard=*/1);  // would have overwritten 8.0 pre-fix
+  c.on_batch(1, {.bytes = 100, .time_s = 0.1, .window = 8.0}, /*shard=*/0);
+  // Would have overwritten 8.0 pre-fix.
+  c.on_batch(1, {.bytes = 100, .time_s = 0.1, .window = 3.0}, /*shard=*/1);
   const ServeStats s = c.snapshot();
   ASSERT_EQ(s.shard_link_window.size(), 2u);
   EXPECT_DOUBLE_EQ(s.shard_link_window[0], 8.0);
@@ -275,14 +266,13 @@ TEST(ServeStats, SnapshotIsDerivableFromTheTelemetryTree) {
   // byte for byte.
   telemetry::Registry reg;
   StatsCollector c(&reg, /*num_shards=*/2);
-  serve::WireCounters w;
-  w.wire_bytes = 900;
-  w.wire_bytes_raw = 1500;
-  w.retransmits = 4;
-  w.fec_repaired = 2;
-  w.undelivered = 1;
-  w.wire_time_s = 0.5;
-  w.window = 6.0;
+  const sc::WireTally w{.bytes = 900,
+                        .bytes_raw = 1500,
+                        .retransmits = 4,
+                        .fec_repaired = 2,
+                        .undelivered = 1,
+                        .time_s = 0.5,
+                        .window = 6.0};
   for (int i = 0; i < 3; ++i) c.on_submit();
   c.on_batch(2, w, 0);
   c.on_batch(1, w, 1);
