@@ -184,8 +184,8 @@ BENCHMARK(BM_SoftmaxRows);
 
 // Whole-backbone forward, eager Module::forward vs the compiled graph
 // executor (exact = bitwise plan, fused = BN-folded plan), batch 8 at the
-// serving image size. CI gates on compiled-never-slower-than-eager for the
-// VGG edge slice using these entries (args: backbone kind / mode).
+// serving image size. CI gates on compiled-never-slower-than-eager for all
+// three edge backbones using these entries (args: backbone kind / mode).
 void BM_BackboneForward(benchmark::State& state) {
   const auto kind = static_cast<models::BackboneKind>(state.range(0));
   const int64_t mode = state.range(1);  // 0 = eager, 1 = exact, 2 = fused

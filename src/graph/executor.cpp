@@ -1,130 +1,29 @@
 #include "graph/executor.hpp"
 
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <sstream>
 
 #include "graph/passes.hpp"
+#include "nn/batchnorm.hpp"
+#include "nn/conv2d.hpp"
+#include "nn/linear.hpp"
+#include "nn/pooling.hpp"
+#include "nn/squeeze_excite.hpp"
 #include "runtime/thread_pool.hpp"
-#include "runtime/workspace.hpp"
-#include "tensor/gemm.hpp"
-#include "tensor/im2col.hpp"
 
 namespace mtlsplit::graph {
 
 namespace {
 
-// Grain sizes matching the eager layers (activations.cpp, pooling.cpp);
-// chunk boundaries never affect values — every kernel below writes each
-// output element from a fixed per-element instruction stream — but keeping
-// them identical keeps the scheduling behaviour comparable too.
-constexpr int64_t kActGrain = 1 << 15;
-constexpr int64_t kPlaneGrain = 8;
-
-/// The eager layers' scalar activation functions, expression for
-/// expression (activations.cpp) — this is what keeps fused epilogues
-/// bitwise identical to a separate activation sweep.
-inline float apply_act(ActFn fn, float x) {
-  switch (fn) {
-    case ActFn::kNone:
-      return x;
-    case ActFn::kReLU:
-      return x > 0.0f ? x : 0.0f;
-    case ActFn::kSigmoid:
-      return 1.0f / (1.0f + std::exp(-x));
-    case ActFn::kHardSigmoid:
-      if (x <= -3.0f) return 0.0f;
-      if (x >= 3.0f) return 1.0f;
-      return x / 6.0f + 0.5f;
-    case ActFn::kHardSwish:
-      if (x <= -3.0f) return 0.0f;
-      if (x >= 3.0f) return x;
-      return x * (x + 3.0f) / 6.0f;
-    case ActFn::kSiLU:
-      return x / (1.0f + std::exp(-x));
-  }
-  return x;
-}
-
-// Epilogue sweeps with the activation resolved before the loop: `fn` is a
-// template argument, so apply_act's switch constant-folds away and the
-// per-element body vectorizes (a runtime `fn` inside the loop keeps the
-// switch live per element and forces scalar code). Values are unchanged —
-// same formula, same order — only the dispatch moves out of the loop.
-template <ActFn fn>
-void act_map_loop(const float* x, float* o, int64_t n) {
-  for (int64_t j = 0; j < n; ++j) o[j] = apply_act(fn, x[j]);
-}
-
-inline void act_map(ActFn fn, const float* x, float* o, int64_t n) {
-  switch (fn) {
-    case ActFn::kNone:
-      if (o != x) std::memcpy(o, x, static_cast<size_t>(n) * sizeof(float));
-      return;
-    case ActFn::kReLU:
-      return act_map_loop<ActFn::kReLU>(x, o, n);
-    case ActFn::kSigmoid:
-      return act_map_loop<ActFn::kSigmoid>(x, o, n);
-    case ActFn::kHardSigmoid:
-      return act_map_loop<ActFn::kHardSigmoid>(x, o, n);
-    case ActFn::kHardSwish:
-      return act_map_loop<ActFn::kHardSwish>(x, o, n);
-    case ActFn::kSiLU:
-      return act_map_loop<ActFn::kSiLU>(x, o, n);
-  }
-}
-
-// Bias + activation in one pass over the plane. Bitwise equal to the
-// two-sweep form (`p[j] += b` then `p[j] = act(p[j])`): each element sees
-// the identical add-then-activate instruction stream either way.
-template <ActFn fn>
-void bias_act_loop(float* p, int64_t n, float b) {
-  for (int64_t j = 0; j < n; ++j) p[j] = apply_act(fn, p[j] + b);
-}
-
-// Eval-BN per-channel affine with an optional fused activation, one pass.
-template <ActFn fn>
-void bn_affine_loop(const float* x, float* o, int64_t n, float ga, float mean,
-                    float inv_std, float be) {
-  for (int64_t j = 0; j < n; ++j)
-    o[j] = apply_act(fn, ga * (x[j] - mean) * inv_std + be);
-}
-
-inline void bn_affine_act(ActFn fn, const float* x, float* o, int64_t n,
-                          float ga, float mean, float inv_std, float be) {
-  switch (fn) {
-    case ActFn::kNone:
-      return bn_affine_loop<ActFn::kNone>(x, o, n, ga, mean, inv_std, be);
-    case ActFn::kReLU:
-      return bn_affine_loop<ActFn::kReLU>(x, o, n, ga, mean, inv_std, be);
-    case ActFn::kSigmoid:
-      return bn_affine_loop<ActFn::kSigmoid>(x, o, n, ga, mean, inv_std, be);
-    case ActFn::kHardSigmoid:
-      return bn_affine_loop<ActFn::kHardSigmoid>(x, o, n, ga, mean, inv_std,
-                                                 be);
-    case ActFn::kHardSwish:
-      return bn_affine_loop<ActFn::kHardSwish>(x, o, n, ga, mean, inv_std, be);
-    case ActFn::kSiLU:
-      return bn_affine_loop<ActFn::kSiLU>(x, o, n, ga, mean, inv_std, be);
-  }
-}
-
-inline void bias_act(ActFn fn, float* p, int64_t n, float b) {
-  switch (fn) {
-    case ActFn::kNone:
-      return bias_act_loop<ActFn::kNone>(p, n, b);
-    case ActFn::kReLU:
-      return bias_act_loop<ActFn::kReLU>(p, n, b);
-    case ActFn::kSigmoid:
-      return bias_act_loop<ActFn::kSigmoid>(p, n, b);
-    case ActFn::kHardSigmoid:
-      return bias_act_loop<ActFn::kHardSigmoid>(p, n, b);
-    case ActFn::kHardSwish:
-      return bias_act_loop<ActFn::kHardSwish>(p, n, b);
-    case ActFn::kSiLU:
-      return bias_act_loop<ActFn::kSiLU>(p, n, b);
-  }
+ConvGeom conv_geom(const Node& n) {
+  return {.in_c = n.in_c,
+          .in_h = n.in_h,
+          .in_w = n.in_w,
+          .kernel_h = n.kernel,
+          .kernel_w = n.kernel,
+          .stride = n.stride,
+          .pad = n.pad};
 }
 
 }  // namespace
@@ -169,11 +68,8 @@ Tensor GraphExecutor::run(const Tensor& x) {
   const int64_t nb = x.size(0);
   check_arg(nb >= 1, "GraphExecutor::run: empty batch");
 
-  const size_t need = static_cast<size_t>(g.arena_per_sample * nb +
-                                          g.conv_scratch_per_sample);
+  const auto need = static_cast<size_t>(g.arena_per_sample * nb);
   if (arena_.size() < need) arena_.resize(need);
-  if (taps_.size() < static_cast<size_t>(g.dw_tap_ints))
-    taps_.resize(static_cast<size_t>(g.dw_tap_ints));
 
   std::memcpy(value_ptr(g.input, nb), x.data(),
               static_cast<size_t>(x.numel()) * sizeof(float));
@@ -205,256 +101,63 @@ void GraphExecutor::exec_node(const Node& node, int64_t nb) {
   const Graph& g = plan_->graph();
   const float* px = value_ptr(node.inputs[0], nb);
   float* po = value_ptr(node.output, nb);
+  const auto cst = [&](int id) {
+    return id >= 0 ? g.consts[static_cast<size_t>(id)].data() : nullptr;
+  };
+  const int64_t planes = nb * node.in_c;
+  const int64_t total = g.values[static_cast<size_t>(node.output)].elems * nb;
 
   switch (node.kind) {
-    case OpKind::kConv2d: {
-      const int64_t k = node.kernel, oh = node.out_h, ow = node.out_w;
-      const int64_t fan_in = node.in_c * k * k;
-      const int64_t in_stride = node.in_c * node.in_h * node.in_w;
-      const int64_t out_stride = node.out_c * oh * ow;
-      const float* pw = g.consts[static_cast<size_t>(node.weight)].data();
-      const float* pb =
-          node.bias >= 0 ? g.consts[static_cast<size_t>(node.bias)].data()
-                         : nullptr;
-      ConvGeom geom;
-      geom.in_c = node.in_c;
-      geom.in_h = node.in_h;
-      geom.in_w = node.in_w;
-      geom.kernel_h = k;
-      geom.kernel_w = k;
-      geom.stride = node.stride;
-      geom.pad = node.pad;
-      const ActFn act = node.act;
-      auto sample = [&](int64_t i, float* cols) {
-        im2col(px + i * in_stride, geom, cols);
-        float* yout = po + i * out_stride;
-        ops::detail::gemm(node.out_c, oh * ow, fan_in, pw, cols, yout);
-        if (pb != nullptr)
-          for (int64_t c = 0; c < node.out_c; ++c)
-            bias_act(act, yout + c * oh * ow, oh * ow, pb[c]);
-        else
-          act_map(act, yout, yout, out_stride);
-      };
-      if (nb == 1 || runtime::num_threads() == 1) {
-        // Serial over samples: the patch matrix comes from the plan's own
-        // arena (the statically planned scratch region), and the GEMM
-        // parallelizes internally over row blocks instead.
-        float* cols = arena_.data() + g.arena_per_sample * nb;
-        for (int64_t i = 0; i < nb; ++i) sample(i, cols);
-      } else {
-        // Batch-parallel lanes each need a private patch matrix; lanes use
-        // their thread-local workspace exactly like the eager layer.
-        runtime::parallel_for(0, nb, 1, [&](int64_t lo, int64_t hi) {
-          float* cols = runtime::tls_workspace().floats(
-              runtime::Workspace::kIm2col, fan_in * oh * ow);
-          for (int64_t i = lo; i < hi; ++i) sample(i, cols);
-        });
-      }
+    case OpKind::kConv2d:
+      nn::conv2d_forward(px, nb, conv_geom(node), node.out_c, cst(node.weight),
+                         cst(node.bias), node.act, po);
       break;
-    }
-
-    case OpKind::kDepthwiseConv2d: {
-      const int64_t k = node.kernel, oh = node.out_h, ow = node.out_w;
-      const int64_t channels = node.in_c;
-      const int64_t h = node.in_h, w = node.in_w;
-      const float* pw = g.consts[static_cast<size_t>(node.weight)].data();
-      const float* pb =
-          node.bias >= 0 ? g.consts[static_cast<size_t>(node.bias)].data()
-                         : nullptr;
-      // Precompute the in-bounds taps once per node — the (kh, kw) walk
-      // with its boundary skips is identical for every (sample, channel)
-      // plane, so the inner loop below replays taps in the exact eager
-      // accumulation order without re-testing bounds 9x per output. The
-      // table lives in the planned int scratch and is read-only by the
-      // time the parallel lanes start.
-      int32_t* tt = taps_.data();
-      int64_t pos = 0;
-      for (int64_t y = 0; y < oh; ++y) {
-        for (int64_t xx = 0; xx < ow; ++xx) {
-          const int64_t cnt_at = pos++;
-          int32_t cnt = 0;
-          for (int64_t kh = 0; kh < k; ++kh) {
-            const int64_t iy = y * node.stride + kh - node.pad;
-            if (iy < 0 || iy >= h) continue;
-            for (int64_t kw = 0; kw < k; ++kw) {
-              const int64_t ix = xx * node.stride + kw - node.pad;
-              if (ix < 0 || ix >= w) continue;
-              tt[pos++] = static_cast<int32_t>(kh * k + kw);
-              tt[pos++] = static_cast<int32_t>(iy * w + ix);
-              cnt++;
-            }
-          }
-          tt[cnt_at] = cnt;
-        }
-      }
-      const ActFn act = node.act;
-      runtime::parallel_for(
-          0, nb * channels, 4, [&](int64_t lo, int64_t hi) {
-            for (int64_t p = lo; p < hi; ++p) {
-              const int64_t c = p % channels;
-              const float* plane = px + p * h * w;
-              const float* kern = pw + c * k * k;
-              float* oplane = po + p * oh * ow;
-              const float b = pb ? pb[c] : 0.0f;
-              const int32_t* t = tt;
-              for (int64_t o = 0; o < oh * ow; ++o) {
-                float acc = b;
-                int32_t cnt = *t++;
-                for (int32_t j = 0; j < cnt; ++j, t += 2)
-                  acc += kern[t[0]] * plane[t[1]];
-                oplane[o] = act == ActFn::kNone ? acc : apply_act(act, acc);
-              }
-            }
-          });
+    case OpKind::kDepthwiseConv2d:
+      nn::depthwise_conv2d_forward(px, nb, conv_geom(node), cst(node.weight),
+                                   cst(node.bias), node.act, taps_, po);
       break;
-    }
-
-    case OpKind::kBatchNorm2d: {
-      const int64_t channels = node.in_c, plane = node.in_h * node.in_w;
-      const float* pgamma = g.consts[static_cast<size_t>(node.bn_gamma)].data();
-      const float* pbeta = g.consts[static_cast<size_t>(node.bn_beta)].data();
-      const float* pmean = g.consts[static_cast<size_t>(node.bn_mean)].data();
-      const float* pvar = g.consts[static_cast<size_t>(node.bn_var)].data();
-      const float eps = node.eps;
-      const ActFn act = node.act;
-      runtime::parallel_for(0, channels, 1, [&](int64_t clo, int64_t chi) {
-        for (int64_t c = clo; c < chi; ++c) {
-          const float inv_std = 1.0f / std::sqrt(pvar[c] + eps);
-          const float mean = pmean[c];
-          const float ga = pgamma[c], be = pbeta[c];
-          for (int64_t i = 0; i < nb; ++i) {
-            const float* p = px + (i * channels + c) * plane;
-            float* po_c = po + (i * channels + c) * plane;
-            bn_affine_act(act, p, po_c, plane, ga, mean, inv_std, be);
-          }
-        }
-      });
+    case OpKind::kBatchNorm2d:
+      nn::batchnorm_eval_forward(px, nb, node.in_c, node.in_h * node.in_w,
+                                 cst(node.bn_gamma), cst(node.bn_beta),
+                                 cst(node.bn_mean), cst(node.bn_var), node.eps,
+                                 node.act, po);
       break;
-    }
-
-    case OpKind::kActivation: {
-      const int64_t total =
-          g.values[static_cast<size_t>(node.output)].elems * nb;
-      const ActFn act = node.act;
-      runtime::parallel_for(0, total, kActGrain, [&](int64_t lo, int64_t hi) {
-        act_map(act, px + lo, po + lo, hi - lo);
-      });
+    case OpKind::kActivation:
+      nn::activation_forward(node.act, px, total, po);
       break;
-    }
-
-    case OpKind::kMaxPool2d: {
-      const int64_t h = node.in_h, w = node.in_w;
-      const int64_t oh = node.out_h, ow = node.out_w;
-      const int64_t k = node.kernel, stride = node.stride;
-      runtime::parallel_for(
-          0, nb * node.in_c, kPlaneGrain, [&](int64_t lo, int64_t hi) {
-            for (int64_t i = lo; i < hi; ++i) {
-              const float* plane = px + i * h * w;
-              float* oplane = po + i * oh * ow;
-              for (int64_t y = 0; y < oh; ++y) {
-                for (int64_t xx = 0; xx < ow; ++xx) {
-                  float best = -std::numeric_limits<float>::infinity();
-                  for (int64_t kh = 0; kh < k; ++kh) {
-                    const int64_t iy = y * stride + kh;
-                    for (int64_t kw = 0; kw < k; ++kw) {
-                      const float v = plane[iy * w + xx * stride + kw];
-                      if (v > best) best = v;
-                    }
-                  }
-                  oplane[y * ow + xx] = best;
-                }
-              }
-            }
-          });
+    case OpKind::kMaxPool2d:
+      nn::max_pool2d_forward(px, planes, node.in_h, node.in_w, node.kernel,
+                             node.stride, po, /*argmax=*/nullptr);
       break;
-    }
-
-    case OpKind::kAvgPool2d: {
-      const int64_t h = node.in_h, w = node.in_w;
-      const int64_t oh = node.out_h, ow = node.out_w;
-      const int64_t k = node.kernel, stride = node.stride;
-      const float inv = 1.0f / static_cast<float>(k * k);
-      runtime::parallel_for(
-          0, nb * node.in_c, kPlaneGrain, [&](int64_t lo, int64_t hi) {
-            for (int64_t i = lo; i < hi; ++i) {
-              const float* plane = px + i * h * w;
-              float* oplane = po + i * oh * ow;
-              for (int64_t y = 0; y < oh; ++y) {
-                for (int64_t xx = 0; xx < ow; ++xx) {
-                  float acc = 0.0f;
-                  for (int64_t kh = 0; kh < k; ++kh)
-                    for (int64_t kw = 0; kw < k; ++kw)
-                      acc += plane[(y * stride + kh) * w + xx * stride + kw];
-                  oplane[y * ow + xx] = acc * inv;
-                }
-              }
-            }
-          });
+    case OpKind::kAvgPool2d:
+      nn::avg_pool2d_forward(px, planes, node.in_h, node.in_w, node.kernel,
+                             node.stride, po);
       break;
-    }
-
-    case OpKind::kGlobalAvgPool: {
-      const int64_t plane = node.in_h * node.in_w;
-      const float inv = 1.0f / static_cast<float>(plane);
-      runtime::parallel_for(
-          0, nb * node.in_c, kPlaneGrain, [&](int64_t lo, int64_t hi) {
-            for (int64_t i = lo; i < hi; ++i) {
-              double acc = 0.0;
-              const float* p = px + i * plane;
-              for (int64_t j = 0; j < plane; ++j) acc += p[j];
-              po[i] = static_cast<float>(acc) * inv;
-            }
-          });
+    case OpKind::kGlobalAvgPool:
+      nn::global_avg_pool_forward(px, planes, node.in_h * node.in_w, po);
       break;
-    }
-
-    case OpKind::kLinear: {
-      const float* pw = g.consts[static_cast<size_t>(node.weight)].data();
-      ops::detail::gemm_nt(nb, node.in_c, node.out_c, px, pw, po);
-      if (node.bias >= 0) {
-        const float* pb = g.consts[static_cast<size_t>(node.bias)].data();
-        for (int64_t i = 0; i < nb; ++i) {
-          float* row = po + i * node.out_c;
-          for (int64_t j = 0; j < node.out_c; ++j) row[j] += pb[j];
-        }
-      }
-      if (node.act != ActFn::kNone)
-        act_map(node.act, po, po, nb * node.out_c);
+    case OpKind::kLinear:
+      nn::linear_forward(px, nb, node.in_c, node.out_c, cst(node.weight),
+                         cst(node.bias), node.act, po);
       break;
-    }
-
+    case OpKind::kChannelScale:
+      nn::channel_scale_forward(px, planes, node.in_h * node.in_w,
+                                value_ptr(node.inputs[1], nb), po);
+      break;
     case OpKind::kAdd: {
+      // The residual add has no layer of its own (MBConv adds in place).
       const float* pr = value_ptr(node.inputs[1], nb);
-      const int64_t total =
-          g.values[static_cast<size_t>(node.output)].elems * nb;
-      runtime::parallel_for(0, total, kActGrain, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) po[i] = px[i] + pr[i];
-      });
+      runtime::parallel_for(0, total, /*grain=*/1 << 15,
+                            [&](int64_t lo, int64_t hi) {
+                              for (int64_t i = lo; i < hi; ++i)
+                                po[i] = px[i] + pr[i];
+                            });
       break;
     }
-
-    case OpKind::kChannelScale: {
-      const float* ps = value_ptr(node.inputs[1], nb);  // [N, C] gate
-      const int64_t plane = node.in_h * node.in_w;
-      runtime::parallel_for(
-          0, nb * node.in_c, kPlaneGrain, [&](int64_t lo, int64_t hi) {
-            for (int64_t i = lo; i < hi; ++i) {
-              const float sv = ps[i];
-              const float* p = px + i * plane;
-              float* o = po + i * plane;
-              for (int64_t j = 0; j < plane; ++j) o[j] = p[j] * sv;
-            }
-          });
-      break;
-    }
-
-    case OpKind::kIdentity: {
+    case OpKind::kIdentity:
       // Only reachable when the pass pipeline was bypassed; a plain copy.
-      const int64_t total =
-          g.values[static_cast<size_t>(node.output)].elems * nb;
       std::memcpy(po, px, static_cast<size_t>(total) * sizeof(float));
       break;
-    }
   }
 }
 

@@ -14,9 +14,10 @@
 //    replica reuse the plan replica 0 compiled.
 //  * GraphExecutor owns the mutable arena and is single-threaded: one
 //    executor per concurrent caller (the deployment keeps one per pipeline
-//    stage). Kernels inside still parallelize on the runtime pool exactly
-//    like the eager layers, so compiled results are bitwise identical to
-//    eager for any MTLSPLIT_NUM_THREADS (exact mode).
+//    stage). Each node runs the same forward kernel as its eager layer
+//    (nn::conv2d_forward, nn::linear_forward, ...), parallelized on the
+//    runtime pool, so compiled results are bitwise identical to eager for
+//    any MTLSPLIT_NUM_THREADS (exact mode).
 //  * PlanCache is a thread-safe keyed store so replicas compile once.
 #pragma once
 
@@ -89,14 +90,14 @@ class GraphExecutor {
   void exec_node(const Node& node, int64_t batch);
 
   std::shared_ptr<const CompiledPlan> plan_;
-  std::vector<float> arena_;   ///< activations + conv im2col scratch
-  std::vector<int32_t> taps_;  ///< depthwise valid-tap table
+  std::vector<float> arena_;   ///< every planned value
+  std::vector<int32_t> taps_;  ///< depthwise tap-table scratch
   bool poison_dead_ = false;
 };
 
 /// Thread-safe plan store keyed by caller-chosen strings. Intended for one
 /// model family at a time (e.g. an ScServer's replica set, which shares
-/// weights bitwise): the key encodes role/shape/mode, not weights.
+/// weights bitwise): the key encodes role/shape/generation, not weights.
 class PlanCache {
  public:
   /// Returns the cached plan for @p key, compiling (under the lock) on the

@@ -30,18 +30,6 @@ const char* op_kind_name(OpKind kind) {
   return "?";
 }
 
-const char* act_fn_name(ActFn fn) {
-  switch (fn) {
-    case ActFn::kNone: return "none";
-    case ActFn::kReLU: return "ReLU";
-    case ActFn::kSigmoid: return "Sigmoid";
-    case ActFn::kHardSigmoid: return "HardSigmoid";
-    case ActFn::kHardSwish: return "HardSwish";
-    case ActFn::kSiLU: return "SiLU";
-  }
-  return "?";
-}
-
 int Graph::new_value(Shape shape, std::string name) {
   Value v;
   v.elems = numel(shape);
@@ -84,15 +72,6 @@ void Graph::recompute_liveness() {
 }
 
 namespace {
-
-ActFn act_fn_of(nn::Module& m) {
-  if (dynamic_cast<nn::ReLU*>(&m) != nullptr) return ActFn::kReLU;
-  if (dynamic_cast<nn::Sigmoid*>(&m) != nullptr) return ActFn::kSigmoid;
-  if (dynamic_cast<nn::HardSigmoid*>(&m) != nullptr) return ActFn::kHardSigmoid;
-  if (dynamic_cast<nn::HardSwish*>(&m) != nullptr) return ActFn::kHardSwish;
-  if (dynamic_cast<nn::SiLU*>(&m) != nullptr) return ActFn::kSiLU;
-  return ActFn::kNone;
-}
 
 /// Lowering cursor: the value currently flowing out of the last lowered
 /// layer, plus its per-sample shape.
@@ -259,10 +238,10 @@ void lower_module(Graph& g, nn::Module& m, const std::string& label,
     n.in_h = cur.shape[2];
     n.in_w = cur.shape[3];
     cur.value = push_node(g, std::move(n), out_shape, label);
-  } else if (act_fn_of(m) != ActFn::kNone) {
+  } else if (auto* a = dynamic_cast<nn::Activation*>(&m)) {
     Node n;
     n.kind = OpKind::kActivation;
-    n.act = act_fn_of(m);
+    n.act = a->fn();
     n.inputs = {cur.value};
     cur.value = push_node(g, std::move(n), out_shape, label);
   } else if (dynamic_cast<nn::Flatten*>(&m) != nullptr ||

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "nn/activations.hpp"
 #include "nn/sequential.hpp"
 #include "tensor/tensor.hpp"
 
@@ -44,10 +45,10 @@ enum class OpKind {
   kIdentity,      ///< Identity / eval Dropout / Flatten — removed by DCE
 };
 
-enum class ActFn { kNone, kReLU, kSigmoid, kHardSigmoid, kHardSwish, kSiLU };
+using nn::ActFn;
+using nn::act_fn_name;
 
 const char* op_kind_name(OpKind kind);
-const char* act_fn_name(ActFn fn);
 
 /// One intermediate tensor. Shapes carry a leading batch dim of 1; `elems`
 /// is the per-sample element count. def/last_use and the arena offset are
@@ -97,11 +98,9 @@ struct Graph {
   Shape input_shape;   ///< per-sample, batch dim = 1
   Shape output_shape;  ///< per-sample, batch dim = 1
 
-  // Filled in by the workspace-planning pass (all per sample; the executor
-  // multiplies by the batch size).
-  int64_t arena_per_sample = 0;         ///< floats for every live value
-  int64_t conv_scratch_per_sample = 0;  ///< floats for the im2col patch matrix
-  int64_t dw_tap_ints = 0;  ///< int32s for the depthwise valid-tap table
+  /// Floats for every live value, per sample (filled in by the
+  /// workspace-planning pass; the executor multiplies by the batch size).
+  int64_t arena_per_sample = 0;
 
   int new_value(Shape shape, std::string name);
   int new_const(Tensor t);

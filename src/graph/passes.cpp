@@ -194,23 +194,6 @@ int PlanWorkspace::run(Graph& g) {
               [](const Alloc& a, const Alloc& b) { return a.offset < b.offset; });
   }
   g.arena_per_sample = arena;
-
-  // Conv family scratch, sized for the largest single-sample use.
-  int64_t conv_scratch = 0, dw_taps = 0;
-  for (const Node& n : g.nodes) {
-    if (n.kind == OpKind::kConv2d) {
-      conv_scratch = std::max(
-          conv_scratch,
-          aligned(n.in_c * n.kernel * n.kernel * n.out_h * n.out_w));
-    } else if (n.kind == OpKind::kDepthwiseConv2d) {
-      // Per output position: a tap count plus (weight index, input offset)
-      // pairs for every in-bounds tap.
-      dw_taps = std::max(
-          dw_taps, n.out_h * n.out_w * (1 + 2 * n.kernel * n.kernel));
-    }
-  }
-  g.conv_scratch_per_sample = conv_scratch;
-  g.dw_tap_ints = dw_taps;
   return rewrites;
 }
 

@@ -50,9 +50,8 @@ class FuseActivation final : public Pass {
 };
 
 /// Liveness-driven static workspace planning: assigns each value an offset
-/// in one shared arena (greedy first-fit over live intervals) and sizes the
-/// conv im2col / depthwise tap-table scratch regions. Fills Value::offset
-/// and the Graph arena fields.
+/// in one shared arena (greedy first-fit over live intervals). Fills
+/// Value::offset and Graph::arena_per_sample.
 class PlanWorkspace final : public Pass {
  public:
   /// @p align rounds every allocation up to this many floats (keeps rows

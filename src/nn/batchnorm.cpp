@@ -6,6 +6,26 @@
 
 namespace mtlsplit::nn {
 
+void batchnorm_eval_forward(const float* x, int64_t n, int64_t channels,
+                            int64_t plane, const float* gamma,
+                            const float* beta, const float* mean,
+                            const float* var, float eps, ActFn act, float* y) {
+  runtime::parallel_for(0, channels, 1, [&](int64_t clo, int64_t chi) {
+    for (int64_t c = clo; c < chi; ++c) {
+      const float inv_std = 1.0f / std::sqrt(var[c] + eps);
+      const float m = mean[c], g = gamma[c], b = beta[c];
+      with_act(act, [&](auto f) {
+        for (int64_t i = 0; i < n; ++i) {
+          const float* p = x + (i * channels + c) * plane;
+          float* o = y + (i * channels + c) * plane;
+          for (int64_t j = 0; j < plane; ++j)
+            o[j] = nn::act(f, g * (p[j] - m) * inv_std + b);
+        }
+      });
+    }
+  });
+}
+
 BatchNorm2d::BatchNorm2d(int64_t channels, float momentum, float eps)
     : channels_(channels),
       momentum_(momentum),
@@ -73,19 +93,9 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
     }
     });
   } else {
-    runtime::parallel_for(0, channels_, 1, [&](int64_t clo, int64_t chi) {
-      for (int64_t c = clo; c < chi; ++c) {
-        const float inv_std = 1.0f / std::sqrt(running_var_[c] + eps_);
-        const float mean = running_mean_[c];
-        const float g = gamma_.value[c], b = beta_.value[c];
-        for (int64_t i = 0; i < n; ++i) {
-          const float* p = px + (i * channels_ + c) * plane;
-          float* po_c = po + (i * channels_ + c) * plane;
-          for (int64_t j = 0; j < plane; ++j)
-            po_c[j] = g * (p[j] - mean) * inv_std + b;
-        }
-      }
-    });
+    batchnorm_eval_forward(px, n, channels_, plane, gamma_.value.data(),
+                           beta_.value.data(), running_mean_.data(),
+                           running_var_.data(), eps_, ActFn::kNone, po);
   }
   return out;
 }

@@ -6,9 +6,19 @@
 // through the batch mean and variance).
 #pragma once
 
+#include "nn/activations.hpp"
 #include "nn/module.hpp"
 
 namespace mtlsplit::nn {
+
+/// Eval-mode BatchNorm over @p n samples of @p channels planes of @p plane
+/// elements: y = act(gamma[c] * (x - mean[c]) * (1 / sqrt(var[c] + eps)) +
+/// beta[c]). The eval forward of BatchNorm2d and the compiled executor's
+/// BatchNorm nodes both run this.
+void batchnorm_eval_forward(const float* x, int64_t n, int64_t channels,
+                            int64_t plane, const float* gamma,
+                            const float* beta, const float* mean,
+                            const float* var, float eps, ActFn act, float* y);
 
 class BatchNorm2d final : public Module {
  public:

@@ -29,6 +29,95 @@ ConvGeom make_geom(int64_t c, int64_t h, int64_t w, int64_t k, int64_t stride,
 
 }  // namespace
 
+// ------------------------------------------------------------------ kernels
+
+void conv2d_forward(const float* x, int64_t n, const ConvGeom& g,
+                    int64_t out_c, const float* w, const float* b, ActFn act,
+                    float* y) {
+  const int64_t ohw = g.out_h() * g.out_w();
+  const int64_t fan_in = g.in_c * g.kernel_h * g.kernel_w;
+  const int64_t in_stride = g.in_c * g.in_h * g.in_w;
+  // Batch-level parallelism; each lane keeps one persistent im2col patch
+  // matrix in its thread-local workspace instead of a fresh Tensor per
+  // sample. For n == 1 (edge inference) the loop runs inline and the GEMM
+  // parallelizes over its row blocks instead.
+  runtime::parallel_for(0, n, 1, [&](int64_t lo, int64_t hi) {
+    float* cols = runtime::tls_workspace().floats(
+        runtime::Workspace::kIm2col, fan_in * ohw);
+    for (int64_t i = lo; i < hi; ++i) {
+      im2col(x + i * in_stride, g, cols);
+      float* yi = y + i * out_c * ohw;
+      ops::detail::gemm(out_c, ohw, fan_in, w, cols, yi);
+      with_act(act, [&](auto f) {
+        for (int64_t c = 0; c < out_c; ++c) {
+          float* plane = yi + c * ohw;
+          if (b != nullptr) {
+            const float bc = b[c];
+            for (int64_t j = 0; j < ohw; ++j)
+              plane[j] = nn::act(f, plane[j] + bc);
+          } else if (f != ActFn::kNone) {
+            for (int64_t j = 0; j < ohw; ++j) plane[j] = nn::act(f, plane[j]);
+          }
+        }
+      });
+    }
+  });
+}
+
+void depthwise_conv2d_forward(const float* x, int64_t n, const ConvGeom& g,
+                              const float* w, const float* b, ActFn act,
+                              std::vector<int32_t>& taps, float* y) {
+  const int64_t k = g.kernel_w, h = g.in_h, wd = g.in_w;
+  const int64_t oh = g.out_h(), ow = g.out_w();
+  const int64_t channels = g.in_c;
+  // The in-bounds taps of an output position are the same for every
+  // (sample, channel) plane, so they are listed once: per position a tap
+  // count, then a (weight index, input offset) pair per tap in (kh, kw)
+  // order. The plane loop replays them without re-testing bounds.
+  const auto need = static_cast<size_t>(oh * ow * (1 + 2 * k * k));
+  if (taps.size() < need) taps.resize(need);
+  int32_t* tt = taps.data();
+  int64_t pos = 0;
+  for (int64_t oy = 0; oy < oh; ++oy) {
+    for (int64_t ox = 0; ox < ow; ++ox) {
+      const int64_t cnt_at = pos++;
+      int32_t cnt = 0;
+      for (int64_t kh = 0; kh < k; ++kh) {
+        const int64_t iy = oy * g.stride + kh - g.pad;
+        if (iy < 0 || iy >= h) continue;
+        for (int64_t kw = 0; kw < k; ++kw) {
+          const int64_t ix = ox * g.stride + kw - g.pad;
+          if (ix < 0 || ix >= wd) continue;
+          tt[pos++] = static_cast<int32_t>(kh * k + kw);
+          tt[pos++] = static_cast<int32_t>(iy * wd + ix);
+          cnt++;
+        }
+      }
+      tt[cnt_at] = cnt;
+    }
+  }
+  // One (sample, channel) plane per work item: all writes are disjoint.
+  runtime::parallel_for(0, n * channels, 4, [&](int64_t lo, int64_t hi) {
+    with_act(act, [&](auto f) {
+      for (int64_t p = lo; p < hi; ++p) {
+        const int64_t c = p % channels;
+        const float* plane = x + p * h * wd;
+        const float* kern = w + c * k * k;
+        float* oplane = y + p * oh * ow;
+        const float bc = b != nullptr ? b[c] : 0.0f;
+        const int32_t* t = tt;
+        for (int64_t o = 0; o < oh * ow; ++o) {
+          float acc = bc;
+          const int32_t cnt = *t++;
+          for (int32_t j = 0; j < cnt; ++j, t += 2)
+            acc += kern[t[0]] * plane[t[1]];
+          oplane[o] = nn::act(f, acc);
+        }
+      }
+    });
+  });
+}
+
 // ------------------------------------------------------------------- Conv2d
 
 Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
@@ -53,38 +142,13 @@ Tensor Conv2d::forward(const Tensor& x) {
   check_arg(x.dim() == 4 && x.size(1) == in_c_,
             msg_cat("Conv2d: expected [N, ", in_c_, ", H, W], got ",
                     shape_str(x.shape())));
-  const int64_t n = x.size(0), h = x.size(2), w = x.size(3);
-  const ConvGeom g = make_geom(in_c_, h, w, kernel_, stride_, pad_);
-  const int64_t oh = g.out_h(), ow = g.out_w();
+  const ConvGeom g =
+      make_geom(in_c_, x.size(2), x.size(3), kernel_, stride_, pad_);
   cached_input_ = x;
-
-  Tensor out({n, out_c_, oh, ow});
-  const int64_t fan_in = in_c_ * kernel_ * kernel_;
-  const int64_t in_stride = in_c_ * h * w;
-  const int64_t out_stride = out_c_ * oh * ow;
-  const float* px = x.data();
-  const float* pw = weight_.value.data();
-  const float* pb = with_bias_ ? bias_.value.data() : nullptr;
-  float* po = out.data();
-  // Batch-level parallelism; each lane keeps one persistent im2col patch
-  // matrix in its thread-local workspace instead of a fresh Tensor per
-  // sample. For n == 1 (edge inference) the loop runs inline and the GEMM
-  // parallelizes over its row blocks instead.
-  runtime::parallel_for(0, n, 1, [&](int64_t lo, int64_t hi) {
-    float* cols = runtime::tls_workspace().floats(
-        runtime::Workspace::kIm2col, fan_in * oh * ow);
-    for (int64_t i = lo; i < hi; ++i) {
-      im2col(px + i * in_stride, g, cols);
-      float* yout = po + i * out_stride;
-      ops::detail::gemm(out_c_, oh * ow, fan_in, pw, cols, yout);
-      if (pb != nullptr)
-        for (int64_t c = 0; c < out_c_; ++c) {
-          const float b = pb[c];
-          float* plane = yout + c * oh * ow;
-          for (int64_t j = 0; j < oh * ow; ++j) plane[j] += b;
-        }
-    }
-  });
+  Tensor out({x.size(0), out_c_, g.out_h(), g.out_w()});
+  conv2d_forward(x.data(), x.size(0), g, out_c_, weight_.value.data(),
+                 with_bias_ ? bias_.value.data() : nullptr, ActFn::kNone,
+                 out.data());
   return out;
 }
 
@@ -201,41 +265,13 @@ Tensor DepthwiseConv2d::forward(const Tensor& x) {
   check_arg(x.dim() == 4 && x.size(1) == channels_,
             msg_cat("DepthwiseConv2d: expected [N, ", channels_,
                     ", H, W], got ", shape_str(x.shape())));
-  const int64_t n = x.size(0), h = x.size(2), w = x.size(3);
-  const ConvGeom g = make_geom(1, h, w, kernel_, stride_, pad_);
-  const int64_t oh = g.out_h(), ow = g.out_w();
+  const ConvGeom g =
+      make_geom(channels_, x.size(2), x.size(3), kernel_, stride_, pad_);
   cached_input_ = x;
-
-  Tensor out({n, channels_, oh, ow});
-  const float* px = x.data();
-  float* po = out.data();
-  const float* pw = weight_.value.data();
-  const float* pb = with_bias_ ? bias_.value.data() : nullptr;
-  // One (sample, channel) plane per work item: all writes are disjoint.
-  runtime::parallel_for(0, n * channels_, 4, [&](int64_t lo, int64_t hi) {
-    for (int64_t p = lo; p < hi; ++p) {
-      const int64_t c = p % channels_;
-      const float* plane = px + p * h * w;
-      const float* kern = pw + c * kernel_ * kernel_;
-      float* oplane = po + p * oh * ow;
-      const float b = pb ? pb[c] : 0.0f;
-      for (int64_t y = 0; y < oh; ++y) {
-        for (int64_t xx = 0; xx < ow; ++xx) {
-          float acc = b;
-          for (int64_t kh = 0; kh < kernel_; ++kh) {
-            const int64_t iy = y * stride_ + kh - pad_;
-            if (iy < 0 || iy >= h) continue;
-            for (int64_t kw = 0; kw < kernel_; ++kw) {
-              const int64_t ix = xx * stride_ + kw - pad_;
-              if (ix < 0 || ix >= w) continue;
-              acc += kern[kh * kernel_ + kw] * plane[iy * w + ix];
-            }
-          }
-          oplane[y * ow + xx] = acc;
-        }
-      }
-    }
-  });
+  Tensor out({x.size(0), channels_, g.out_h(), g.out_w()});
+  depthwise_conv2d_forward(x.data(), x.size(0), g, weight_.value.data(),
+                           with_bias_ ? bias_.value.data() : nullptr,
+                           ActFn::kNone, taps_, out.data());
   return out;
 }
 

@@ -1,24 +1,45 @@
-// 2-d convolution layers over NCHW batches.
+// 2-d convolution layers over NCHW batches, and the forward kernels that
+// both the layers and the compiled executor (graph/executor.hpp) run.
 //
 // Conv2d is lowered to GEMM via im2col (tensor/im2col.hpp); the backward
 // pass recomputes the patch matrix from the cached input instead of caching
 // it, trading a little compute for a large activation-memory saving.
 // DepthwiseConv2d (one filter per channel, the MobileNet/EfficientNet
-// workhorse) uses direct loops — its arithmetic intensity is too low for
-// im2col to pay off.
+// workhorse) skips im2col — its arithmetic intensity is too low for it to
+// pay off — and replays a table of in-bounds taps per output position.
 //
-// Execution (DESIGN.md §7): both layers parallelize over the batch on the
-// runtime thread pool, with the im2col patch matrix living in each lane's
-// persistent thread-local Workspace (no per-sample allocation). Weight and
-// bias gradients are reduced in sample order from independently computed
+// Execution (DESIGN.md §7): both forwards parallelize on the runtime
+// thread pool — conv over samples, with the im2col patch matrix living in
+// each lane's persistent thread-local Workspace (no per-sample
+// allocation), depthwise over (sample, channel) planes. Weight and bias
+// gradients are reduced in sample order from independently computed
 // partials, so training is bit-reproducible for any MTLSPLIT_NUM_THREADS.
 #pragma once
 
+#include <vector>
+
+#include "nn/activations.hpp"
 #include "nn/module.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/rng.hpp"
 
 namespace mtlsplit::nn {
+
+/// y = act(W * im2col(x) + b) for @p n samples of geometry @p g, written
+/// as [n, out_c, g.out_h(), g.out_w()]. @p w is [out_c, in_c*k*k]; @p b is
+/// [out_c] or null.
+void conv2d_forward(const float* x, int64_t n, const ConvGeom& g,
+                    int64_t out_c, const float* w, const float* b, ActFn act,
+                    float* y);
+
+/// Depthwise y = act(conv(x) + b) for @p n samples of g.in_c channels,
+/// written as [n, g.in_c, g.out_h(), g.out_w()]. @p w is [g.in_c, k*k];
+/// @p b is [g.in_c] or null. Each output sums its in-bounds taps in
+/// (kh, kw) order, starting from the bias. @p taps is the caller's scratch
+/// for the tap table, grown as needed.
+void depthwise_conv2d_forward(const float* x, int64_t n, const ConvGeom& g,
+                              const float* w, const float* b, ActFn act,
+                              std::vector<int32_t>& taps, float* y);
 
 class Conv2d final : public Module {
  public:
@@ -83,6 +104,7 @@ class DepthwiseConv2d final : public Module {
   Parameter weight_;  // [channels, k * k]
   Parameter bias_;    // [channels]
   Tensor cached_input_;
+  std::vector<int32_t> taps_;  // forward tap-table scratch
 };
 
 }  // namespace mtlsplit::nn

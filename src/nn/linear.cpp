@@ -1,9 +1,25 @@
 #include "nn/linear.hpp"
 
 #include "nn/init.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace mtlsplit::nn {
+
+void linear_forward(const float* x, int64_t n, int64_t in, int64_t out,
+                    const float* w, const float* b, ActFn act, float* y) {
+  ops::detail::gemm_nt(n, in, out, x, w, y);
+  with_act(act, [&](auto f) {
+    for (int64_t i = 0; i < n; ++i) {
+      float* row = y + i * out;
+      if (b != nullptr) {
+        for (int64_t j = 0; j < out; ++j) row[j] = nn::act(f, row[j] + b[j]);
+      } else if (f != ActFn::kNone) {
+        for (int64_t j = 0; j < out; ++j) row[j] = nn::act(f, row[j]);
+      }
+    }
+  });
+}
 
 Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng,
                bool with_bias)
@@ -22,8 +38,10 @@ Tensor Linear::forward(const Tensor& x) {
             msg_cat("Linear: expected [N, ", in_features_, "], got ",
                     shape_str(x.shape())));
   cached_input_ = x;
-  Tensor y = ops::matmul_nt(x, weight_.value);  // [N, out]
-  if (with_bias_) ops::add_row_bias_(y, bias_.value);
+  Tensor y({x.size(0), out_features_});
+  linear_forward(x.data(), x.size(0), in_features_, out_features_,
+                 weight_.value.data(), with_bias_ ? bias_.value.data() : nullptr,
+                 ActFn::kNone, y.data());
   return y;
 }
 

@@ -1,10 +1,17 @@
 // Fully connected layer: y = x W^T + b over a [N, in] batch.
 #pragma once
 
+#include "nn/activations.hpp"
 #include "nn/module.hpp"
 #include "tensor/rng.hpp"
 
 namespace mtlsplit::nn {
+
+/// y[n, out] = act(x W^T + b) for an [n, in] batch @p x. @p w is [out, in];
+/// @p b is [out] or null. Linear::forward and the compiled executor's
+/// linear nodes both run this.
+void linear_forward(const float* x, int64_t n, int64_t in, int64_t out,
+                    const float* w, const float* b, ActFn act, float* y);
 
 class Linear final : public Module {
  public:

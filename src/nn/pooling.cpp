@@ -7,11 +7,9 @@
 namespace mtlsplit::nn {
 
 namespace {
+
 // (sample, channel) planes per parallel chunk for the pooling loops.
 constexpr int64_t kPlaneGrain = 8;
-}  // namespace
-
-namespace {
 
 int64_t pooled_extent(int64_t in, int64_t kernel, int64_t stride) {
   check_arg(in >= kernel, msg_cat("pooling: input extent ", in,
@@ -20,6 +18,75 @@ int64_t pooled_extent(int64_t in, int64_t kernel, int64_t stride) {
 }
 
 }  // namespace
+
+// ------------------------------------------------------------------ kernels
+
+void max_pool2d_forward(const float* x, int64_t planes, int64_t h, int64_t w,
+                        int64_t kernel, int64_t stride, float* y,
+                        int64_t* argmax) {
+  const int64_t oh = pooled_extent(h, kernel, stride);
+  const int64_t ow = pooled_extent(w, kernel, stride);
+  runtime::parallel_for(0, planes, kPlaneGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const float* plane = x + i * h * w;
+      for (int64_t oy = 0; oy < oh; ++oy) {
+        for (int64_t ox = 0; ox < ow; ++ox) {
+          float best = -std::numeric_limits<float>::infinity();
+          int64_t best_idx = 0;
+          for (int64_t kh = 0; kh < kernel; ++kh) {
+            const int64_t iy = oy * stride + kh;
+            for (int64_t kw = 0; kw < kernel; ++kw) {
+              const int64_t ix = ox * stride + kw;
+              const float v = plane[iy * w + ix];
+              if (v > best) {
+                best = v;
+                best_idx = iy * w + ix;
+              }
+            }
+          }
+          const int64_t o = (i * oh + oy) * ow + ox;
+          y[o] = best;
+          if (argmax != nullptr) argmax[o] = i * h * w + best_idx;
+        }
+      }
+    }
+  });
+}
+
+void avg_pool2d_forward(const float* x, int64_t planes, int64_t h, int64_t w,
+                        int64_t kernel, int64_t stride, float* y) {
+  const int64_t oh = pooled_extent(h, kernel, stride);
+  const int64_t ow = pooled_extent(w, kernel, stride);
+  const float inv = 1.0f / static_cast<float>(kernel * kernel);
+  runtime::parallel_for(0, planes, kPlaneGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const float* plane = x + i * h * w;
+      float* oplane = y + i * oh * ow;
+      for (int64_t oy = 0; oy < oh; ++oy) {
+        for (int64_t ox = 0; ox < ow; ++ox) {
+          float acc = 0.0f;
+          for (int64_t kh = 0; kh < kernel; ++kh)
+            for (int64_t kw = 0; kw < kernel; ++kw)
+              acc += plane[(oy * stride + kh) * w + ox * stride + kw];
+          oplane[oy * ow + ox] = acc * inv;
+        }
+      }
+    }
+  });
+}
+
+void global_avg_pool_forward(const float* x, int64_t planes, int64_t plane,
+                             float* y) {
+  const float inv = 1.0f / static_cast<float>(plane);
+  runtime::parallel_for(0, planes, kPlaneGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      double acc = 0.0;
+      const float* p = x + i * plane;
+      for (int64_t j = 0; j < plane; ++j) acc += p[j];
+      y[i] = static_cast<float>(acc) * inv;
+    }
+  });
+}
 
 // ---------------------------------------------------------------- MaxPool2d
 
@@ -30,42 +97,11 @@ MaxPool2d::MaxPool2d(int64_t kernel, int64_t stride)
 
 Tensor MaxPool2d::forward(const Tensor& x) {
   check_arg(x.dim() == 4, "MaxPool2d: expected NCHW input");
-  const int64_t n = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
-  const int64_t oh = pooled_extent(h, kernel_, stride_);
-  const int64_t ow = pooled_extent(w, kernel_, stride_);
   cached_in_shape_ = x.shape();
-  cached_argmax_.assign(static_cast<size_t>(n * c * oh * ow), 0);
-
-  Tensor out({n, c, oh, ow});
-  const float* px = x.data();
-  float* po = out.data();
-  int64_t* pa = cached_argmax_.data();
-  runtime::parallel_for(0, n * c, kPlaneGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      const float* plane = px + i * h * w;
-      float* oplane = po + i * oh * ow;
-      int64_t* aplane = pa + i * oh * ow;
-      for (int64_t y = 0; y < oh; ++y) {
-        for (int64_t xx = 0; xx < ow; ++xx) {
-          float best = -std::numeric_limits<float>::infinity();
-          int64_t best_idx = 0;
-          for (int64_t kh = 0; kh < kernel_; ++kh) {
-            const int64_t iy = y * stride_ + kh;
-            for (int64_t kw = 0; kw < kernel_; ++kw) {
-              const int64_t ix = xx * stride_ + kw;
-              const float v = plane[iy * w + ix];
-              if (v > best) {
-                best = v;
-                best_idx = iy * w + ix;
-              }
-            }
-          }
-          oplane[y * ow + xx] = best;
-          aplane[y * ow + xx] = i * h * w + best_idx;
-        }
-      }
-    }
-  });
+  Tensor out(output_shape(x.shape()));
+  cached_argmax_.resize(static_cast<size_t>(out.numel()));
+  max_pool2d_forward(x.data(), x.size(0) * x.size(1), x.size(2), x.size(3),
+                     kernel_, stride_, out.data(), cached_argmax_.data());
   return out;
 }
 
@@ -106,30 +142,10 @@ AvgPool2d::AvgPool2d(int64_t kernel, int64_t stride)
 
 Tensor AvgPool2d::forward(const Tensor& x) {
   check_arg(x.dim() == 4, "AvgPool2d: expected NCHW input");
-  const int64_t n = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
-  const int64_t oh = pooled_extent(h, kernel_, stride_);
-  const int64_t ow = pooled_extent(w, kernel_, stride_);
   cached_in_shape_ = x.shape();
-
-  Tensor out({n, c, oh, ow});
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-  const float* px = x.data();
-  float* po = out.data();
-  runtime::parallel_for(0, n * c, kPlaneGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      const float* plane = px + i * h * w;
-      float* oplane = po + i * oh * ow;
-      for (int64_t y = 0; y < oh; ++y) {
-        for (int64_t xx = 0; xx < ow; ++xx) {
-          float acc = 0.0f;
-          for (int64_t kh = 0; kh < kernel_; ++kh)
-            for (int64_t kw = 0; kw < kernel_; ++kw)
-              acc += plane[(y * stride_ + kh) * w + xx * stride_ + kw];
-          oplane[y * ow + xx] = acc * inv;
-        }
-      }
-    }
-  });
+  Tensor out(output_shape(x.shape()));
+  avg_pool2d_forward(x.data(), x.size(0) * x.size(1), x.size(2), x.size(3),
+                     kernel_, stride_, out.data());
   return out;
 }
 
@@ -169,21 +185,11 @@ Shape AvgPool2d::output_shape(const Shape& in) const {
 
 Tensor GlobalAvgPool::forward(const Tensor& x) {
   check_arg(x.dim() == 4, "GlobalAvgPool: expected NCHW input");
-  const int64_t n = x.size(0), c = x.size(1), plane = x.size(2) * x.size(3);
+  const int64_t plane = x.size(2) * x.size(3);
   check_arg(plane > 0, "GlobalAvgPool: empty spatial extent");
   cached_in_shape_ = x.shape();
-  Tensor out({n, c});
-  const float* px = x.data();
-  float* po = out.data();
-  const float inv = 1.0f / static_cast<float>(plane);
-  runtime::parallel_for(0, n * c, kPlaneGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      double acc = 0.0;
-      const float* p = px + i * plane;
-      for (int64_t j = 0; j < plane; ++j) acc += p[j];
-      po[i] = static_cast<float>(acc) * inv;
-    }
-  });
+  Tensor out({x.size(0), x.size(1)});
+  global_avg_pool_forward(x.data(), x.size(0) * x.size(1), plane, out.data());
   return out;
 }
 

@@ -2,7 +2,21 @@
 
 #include <algorithm>
 
+#include "runtime/thread_pool.hpp"
+
 namespace mtlsplit::nn {
+
+void channel_scale_forward(const float* x, int64_t planes, int64_t plane,
+                           const float* scale, float* y) {
+  runtime::parallel_for(0, planes, /*grain=*/8, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const float s = scale[i];
+      const float* p = x + i * plane;
+      float* o = y + i * plane;
+      for (int64_t j = 0; j < plane; ++j) o[j] = p[j] * s;
+    }
+  });
+}
 
 SqueezeExcite::SqueezeExcite(int64_t channels, int64_t reduction, Rng& rng)
     : channels_(channels),
@@ -20,17 +34,9 @@ Tensor SqueezeExcite::forward(const Tensor& x) {
       fc1_.forward(pool_.forward(x)))));  // [N, C]
   cached_scale_ = s;
 
-  const int64_t n = x.size(0), plane = x.size(2) * x.size(3);
   Tensor out(x.shape());
-  const float* px = x.data();
-  const float* ps = s.data();
-  float* po = out.data();
-  for (int64_t i = 0; i < n * channels_; ++i) {
-    const float sv = ps[i];
-    const float* p = px + i * plane;
-    float* o = po + i * plane;
-    for (int64_t j = 0; j < plane; ++j) o[j] = p[j] * sv;
-  }
+  channel_scale_forward(x.data(), x.size(0) * channels_, x.size(2) * x.size(3),
+                        s.data(), out.data());
   return out;
 }
 

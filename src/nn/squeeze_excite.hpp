@@ -15,6 +15,12 @@
 
 namespace mtlsplit::nn {
 
+/// The excite step: y[p, :] = x[p, :] * scale[p] over @p planes planes of
+/// @p plane elements (p runs over (sample, channel)). SqueezeExcite::forward
+/// and the compiled executor's channel-scale nodes both run this.
+void channel_scale_forward(const float* x, int64_t planes, int64_t plane,
+                           const float* scale, float* y);
+
 class SqueezeExcite final : public Module {
  public:
   /// @p reduction divides the channel count for the bottleneck FC layer.

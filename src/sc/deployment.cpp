@@ -79,7 +79,7 @@ ScDeployment::ScDeployment(core::MtlSplitModel& model, Channel& channel,
       cfg_(std::move(cfg)) {}
 
 void ScDeployment::ensure_compiled(const Tensor& x) {
-  if (cfg_.graph == GraphExec::kEager || graph_failed_) return;
+  if (graph_failed_) return;
   if (model_->backbone().training()) {
     // Weights may be mutating; drop any compiled state (its weight
     // snapshots are stale) and retire the cache keys it was built under.
@@ -96,21 +96,18 @@ void ScDeployment::ensure_compiled(const Tensor& x) {
 
   if (!cfg_.plan_cache)
     cfg_.plan_cache = std::make_shared<graph::PlanCache>();
-  graph::CompileOptions opts;
-  opts.exact = cfg_.graph != GraphExec::kFused;
-  const std::string suffix = msg_cat("/", shape_str(img), "/",
-                                     opts.exact ? "exact" : "fused", "/g",
-                                     plan_generation_);
+  const std::string suffix =
+      msg_cat("/", shape_str(img), "/g", plan_generation_);
   try {
     const Shape in = {1, img[0], img[1], img[2]};
-    auto bb_plan = cfg_.plan_cache->get_or_compile(
-        "bb" + suffix, model_->backbone(), in, opts);
+    auto bb_plan = cfg_.plan_cache->get_or_compile("bb" + suffix,
+                                                   model_->backbone(), in);
     const Shape zb_in = model_->backbone().output_shape(in);
     std::vector<std::unique_ptr<graph::GraphExecutor>> heads;
     heads.reserve(model_->num_tasks());
     for (size_t j = 0; j < model_->num_tasks(); ++j) {
-      auto plan = cfg_.plan_cache->get_or_compile(
-          msg_cat("head", j, suffix), model_->head(j), zb_in, opts);
+      auto plan = cfg_.plan_cache->get_or_compile(msg_cat("head", j, suffix),
+                                                  model_->head(j), zb_in);
       heads.push_back(std::make_unique<graph::GraphExecutor>(std::move(plan)));
     }
     backbone_exec_ = std::make_unique<graph::GraphExecutor>(std::move(bb_plan));

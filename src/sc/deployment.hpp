@@ -56,25 +56,12 @@ struct InferenceResult {
 
 enum class ZbEncoding { kFloat32, kInt8 };
 
-/// How ScDeployment executes the model (graph/executor.hpp).
-enum class GraphExec : uint8_t {
-  kEager = 0,  ///< Module::forward per layer (the training path)
-  kExact = 1,  ///< compiled plan, bitwise identical to eager (default)
-  kFused = 2   ///< compiled plan with BatchNorm folding (~1e-5 tolerance)
-};
-
 struct ScDeploymentConfig {
   ZbEncoding encoding = ZbEncoding::kFloat32;
   /// WireCodec::kEntropy wraps every serialised Z_b in an entropy-coded
   /// frame (sc/wire_codec.hpp) before it crosses the channel. Coding is
   /// lossless, so served logits stay bitwise identical to kRaw.
   WireCodec codec = WireCodec::kRaw;
-  /// Execution engine for the backbone and heads. kExact keeps the served
-  /// logits bitwise identical to eager forward (the serving invariant) —
-  /// the compiler only removes allocation/zero-fill/cache overhead. The
-  /// deployment silently falls back to eager while the model is in
-  /// training mode or if a module cannot be lowered.
-  GraphExec graph = GraphExec::kExact;
   /// Compiled-plan store. When null the deployment builds a private one;
   /// ScServer injects a shared cache so every worker replica reuses the
   /// plans replica 0 compiled (replicas share weights bitwise).
@@ -112,6 +99,13 @@ struct BatchResult {
 };
 
 /// Split-computing executor for an MtlSplitModel.
+///
+/// The backbone and heads run as compiled exact-mode plans
+/// (graph/executor.hpp), whose logits are bitwise identical to eager
+/// forward (the serving invariant): the compiler only removes
+/// allocation, zero-fill and backward-cache overhead. The deployment falls
+/// back to eager forward while the model is in training mode, and for
+/// good if a module cannot be lowered.
 ///
 /// Not internally synchronised: the model caches activations during
 /// forward, so concurrent infer()/infer_batch() calls on deployments that
@@ -179,8 +173,8 @@ class ScDeployment {
   Tensor wire_roundtrip(const Tensor& zb, WireTally& wire);
 
   /// Compiles backbone + head plans for per-sample image shape {C,H,W}
-  /// (no-op when eager, training, already compiled for this shape, or a
-  /// previous compile failed). Always runs on the calling thread BEFORE
+  /// (no-op when training, already compiled for this shape, or a previous
+  /// compile failed). Always runs on the calling thread BEFORE
   /// any pipeline threads spawn, so the executors are immutable by the
   /// time stages read them.
   void ensure_compiled(const Tensor& x);

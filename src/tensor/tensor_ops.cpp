@@ -228,22 +228,6 @@ Tensor transpose2d(const Tensor& a) {
   return out;
 }
 
-void add_row_bias_(Tensor& a, const Tensor& bias) {
-  check_arg(a.dim() == 2 && bias.dim() == 1 && bias.size(0) == a.size(1),
-            msg_cat("add_row_bias_: ", shape_str(a.shape()), " + ",
-                    shape_str(bias.shape())));
-  const int64_t n = a.size(0), c = a.size(1);
-  float* pa = a.data();
-  const float* pb = bias.data();
-  const int64_t row_grain = std::max<int64_t>(1, kEwGrain / std::max<int64_t>(c, 1));
-  runtime::parallel_for(0, n, row_grain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      float* row = pa + i * c;
-      for (int64_t j = 0; j < c; ++j) row[j] += pb[j];
-    }
-  });
-}
-
 Tensor concat_batch(const std::vector<Tensor>& parts) {
   check_arg(!parts.empty(), "concat_batch: no parts");
   const Shape& first = parts[0].shape();

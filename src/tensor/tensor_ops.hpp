@@ -1,8 +1,7 @@
 // Kernel library over Tensor: elementwise ops, GEMM, reductions, softmax.
 //
-// All binary tensor-tensor ops require identical shapes (there is no general
-// broadcasting); the only broadcast-like helper is add_row_bias, which is
-// what the NN layers actually need.
+// All binary tensor-tensor ops require identical shapes (there is no
+// broadcasting).
 //
 // Threading (DESIGN.md §7): the GEMMs, elementwise maps and row-wise
 // softmaxes run on the runtime thread pool via parallel_for; results are
@@ -63,9 +62,6 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
 /// Transpose of a 2-d tensor.
 Tensor transpose2d(const Tensor& a);
-
-/// For a [N, C] matrix and a [C] bias, adds the bias to every row in place.
-void add_row_bias_(Tensor& a, const Tensor& bias);
 
 // ------------------------------------------------------------- batch assembly
 /// Concatenates tensors along dim 0; every part must share the trailing

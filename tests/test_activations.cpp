@@ -1,13 +1,20 @@
 // Activation layers: reference values, derivative checks (analytic vs
 // finite differences), shape preservation. Parameterised across all five
-// activation kinds.
+// activation kinds. Also pins the fused activation epilogue of every
+// kernel that takes one to a separate activation sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "nn/activations.hpp"
+#include "nn/batchnorm.hpp"
+#include "nn/conv2d.hpp"
+#include "nn/linear.hpp"
 #include "test_util.hpp"
 
 namespace mtlsplit {
@@ -106,6 +113,87 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_pair("SiLU", ActFactory([] {
                          return std::make_unique<nn::SiLU>();
                        }))));
+
+// FuseActivation may move any of the five functions into a conv,
+// depthwise, BatchNorm or linear node; for each, kernel(fn) must equal
+// kernel(kNone) followed by activation_forward(fn), bit for bit.
+TEST(ActivationEpilogue, FusedEqualsSeparateSweepForEveryKernel) {
+  Rng rng(77);
+  const int64_t n = 2, c = 3, out_c = 4, feat = 64;
+  const ConvGeom geom{.in_c = c, .in_h = 6, .in_w = 5, .kernel_h = 3,
+                      .kernel_w = 3, .stride = 1, .pad = 1};
+  const int64_t ohw = geom.out_h() * geom.out_w();
+  const auto random = [&](Shape shape, float lo, float hi) {
+    Tensor t(std::move(shape));
+    rng.fill_uniform(t, lo, hi);
+    return t;
+  };
+  const Tensor x = random({n, c, 6, 5}, -2.0f, 2.0f);
+  const Tensor conv_w = random({out_c, c * 9}, -1.0f, 1.0f);
+  const Tensor conv_b = random({out_c}, -1.0f, 1.0f);
+  const Tensor dw_w = random({c, 9}, -1.0f, 1.0f);
+  const Tensor dw_b = random({c}, -1.0f, 1.0f);
+  const Tensor gamma = random({c}, 0.5f, 2.0f);
+  const Tensor beta = random({c}, -1.0f, 1.0f);
+  const Tensor mean = random({c}, -0.5f, 0.5f);
+  const Tensor var = random({c}, 0.1f, 1.0f);
+  const Tensor lin_x = random({n, feat}, -2.0f, 2.0f);
+  const Tensor lin_w = random({out_c, feat}, -1.0f, 1.0f);
+  const Tensor lin_b = random({out_c}, -1.0f, 1.0f);
+  std::vector<int32_t> taps;
+
+  struct Kernel {
+    const char* name;
+    int64_t size;
+    std::function<void(nn::ActFn, float*)> run;
+  };
+  const std::vector<Kernel> kernels = {
+      {"conv", n * out_c * ohw,
+       [&](nn::ActFn fn, float* y) {
+         nn::conv2d_forward(x.data(), n, geom, out_c, conv_w.data(),
+                            conv_b.data(), fn, y);
+       }},
+      {"conv without bias", n * out_c * ohw,
+       [&](nn::ActFn fn, float* y) {
+         nn::conv2d_forward(x.data(), n, geom, out_c, conv_w.data(), nullptr,
+                            fn, y);
+       }},
+      {"depthwise", n * c * ohw,
+       [&](nn::ActFn fn, float* y) {
+         nn::depthwise_conv2d_forward(x.data(), n, geom, dw_w.data(),
+                                      dw_b.data(), fn, taps, y);
+       }},
+      {"batchnorm", x.numel(),
+       [&](nn::ActFn fn, float* y) {
+         nn::batchnorm_eval_forward(x.data(), n, c, 30, gamma.data(),
+                                    beta.data(), mean.data(), var.data(),
+                                    1e-5f, fn, y);
+       }},
+      {"linear", n * out_c,
+       [&](nn::ActFn fn, float* y) {
+         nn::linear_forward(lin_x.data(), n, feat, out_c, lin_w.data(),
+                            lin_b.data(), fn, y);
+       }},
+  };
+  for (const Kernel& k : kernels) {
+    const auto bytes = static_cast<size_t>(k.size) * sizeof(float);
+    std::vector<float> plain(static_cast<size_t>(k.size));
+    k.run(nn::ActFn::kNone, plain.data());
+    // Pre-activations reach past +-3, so every piece of HardSigmoid and
+    // HardSwish is exercised.
+    EXPECT_LT(*std::min_element(plain.begin(), plain.end()), -3.0f) << k.name;
+    EXPECT_GT(*std::max_element(plain.begin(), plain.end()), 3.0f) << k.name;
+    for (nn::ActFn fn : {nn::ActFn::kReLU, nn::ActFn::kSigmoid,
+                         nn::ActFn::kHardSigmoid, nn::ActFn::kHardSwish,
+                         nn::ActFn::kSiLU}) {
+      std::vector<float> fused(plain.size()), separate(plain.size());
+      k.run(fn, fused.data());
+      nn::activation_forward(fn, plain.data(), k.size, separate.data());
+      EXPECT_EQ(std::memcmp(fused.data(), separate.data(), bytes), 0)
+          << k.name << " + " << nn::act_fn_name(fn);
+    }
+  }
+}
 
 TEST(Activation, BackwardShapeValidated) {
   nn::ReLU relu;

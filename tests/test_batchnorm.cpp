@@ -61,6 +61,17 @@ TEST(BatchNorm2d, EvalUsesRunningStats) {
   double sum = 0.0;
   for (float v : y.span()) sum += v;
   EXPECT_NEAR(sum / static_cast<double>(y.numel()), 0.0, 1e-2);
+  // Per element, the affine map of the layer's own running statistics,
+  // evaluated as gamma * (x - mean) * (1 / sqrt(var + eps)) + beta.
+  const int64_t plane = 16;
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    const int64_t c = (i / plane) % 2;
+    const float inv_std = 1.0f / std::sqrt(bn.running_var()[c] + bn.eps());
+    const float want =
+        bn.gamma().value[c] * (x[i] - bn.running_mean()[c]) * inv_std +
+        bn.beta().value[c];
+    EXPECT_EQ(y[i], want) << "element " << i;
+  }
 }
 
 TEST(BatchNorm2d, EvalIsDeterministicPerSample) {

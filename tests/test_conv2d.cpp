@@ -66,6 +66,62 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvParam{4, 2, 1, 1, 0, 4, 4},
                       ConvParam{2, 2, 3, 2, 1, 7, 5}));
 
+/// Reference depthwise convolution: each output starts from its channel's
+/// bias and adds the in-bounds taps in (kh, kw) order.
+Tensor naive_depthwise(const Tensor& x, const Tensor& w_mat,
+                       const Tensor& bias, int64_t k, int64_t stride,
+                       int64_t pad) {
+  const int64_t n = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
+  const int64_t oh = (h + 2 * pad - k) / stride + 1;
+  const int64_t ow = (w + 2 * pad - k) / stride + 1;
+  Tensor out({n, c, oh, ow});
+  for (int64_t i = 0; i < n; ++i)
+    for (int64_t ch = 0; ch < c; ++ch)
+      for (int64_t y = 0; y < oh; ++y)
+        for (int64_t xx = 0; xx < ow; ++xx) {
+          float acc = bias.numel() > 0 ? bias[ch] : 0.0f;
+          for (int64_t kh = 0; kh < k; ++kh)
+            for (int64_t kw = 0; kw < k; ++kw) {
+              const int64_t iy = y * stride + kh - pad;
+              const int64_t ix = xx * stride + kw - pad;
+              if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
+              acc += w_mat.at(ch, kh * k + kw) * x.at(i, ch, iy, ix);
+            }
+          out.at(i, ch, y, xx) = acc;
+        }
+  return out;
+}
+
+// in_c is the channel count; out_c is unused (a depthwise conv keeps it).
+class DepthwiseForward : public ::testing::TestWithParam<ConvParam> {};
+
+TEST_P(DepthwiseForward, MatchesNaiveReference) {
+  const ConvParam p = GetParam();
+  for (bool with_bias : {false, true}) {
+    Rng rng(static_cast<uint64_t>(p.in_c * 100 + p.k * 10 + p.stride));
+    nn::DepthwiseConv2d dw(p.in_c, p.k, p.stride, p.pad, rng, with_bias);
+    if (with_bias) rng.fill_uniform(dw.bias().value, -1.0f, 1.0f);
+    Tensor x({2, p.in_c, p.h, p.w});
+    rng.fill_uniform(x, -1.0f, 1.0f);
+    const Tensor got = dw.forward(x);
+    const Tensor want =
+        naive_depthwise(x, dw.weight().value,
+                        with_bias ? dw.bias().value : Tensor(), p.k, p.stride,
+                        p.pad);
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_TRUE(got.equals(want)) << (with_bias ? "with" : "without")
+                                  << " bias";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, DepthwiseForward,
+    ::testing::Values(ConvParam{1, 1, 3, 1, 1, 5, 5},
+                      ConvParam{3, 3, 3, 1, 1, 6, 6},
+                      ConvParam{2, 2, 5, 2, 2, 9, 9},
+                      ConvParam{4, 4, 3, 2, 1, 7, 5},
+                      ConvParam{3, 3, 5, 1, 2, 6, 8}));
+
 TEST(Conv2d, OutputShapeAndFlops) {
   Rng rng(1);
   nn::Conv2d conv(3, 8, 3, 2, 1, rng);

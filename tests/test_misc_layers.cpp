@@ -143,6 +143,15 @@ TEST(SqueezeExcite, PreservesShapeAndScales) {
   // Gate is in (0,1]: output magnitude never exceeds input magnitude.
   for (int64_t i = 0; i < x.numel(); ++i)
     EXPECT_LE(std::abs(y[i]), std::abs(x[i]) + 1e-6f);
+  // Per element, y = x * gate[n, c], with the gate rebuilt from the block's
+  // own FC layers and fresh (stateless) pool, ReLU and HardSigmoid layers.
+  nn::GlobalAvgPool pool;
+  nn::ReLU relu;
+  nn::HardSigmoid hsig;
+  const Tensor gate = hsig.forward(se.fc2().forward(
+      relu.forward(se.fc1().forward(pool.forward(x)))));  // [2, 4]
+  for (int64_t i = 0; i < x.numel(); ++i)
+    EXPECT_EQ(y[i], x[i] * gate[i / 9]) << "element " << i;
 }
 
 TEST(SqueezeExcite, GradientsMatchFiniteDifferences) {

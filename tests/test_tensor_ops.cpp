@@ -169,13 +169,5 @@ TEST(Softmax, InvariantToRowShift) {
   EXPECT_TRUE(s1.allclose(s2, 1e-5f));
 }
 
-TEST(AddRowBias, AddsToEveryRow) {
-  Tensor a({2, 3}, std::vector<float>{0, 0, 0, 1, 1, 1});
-  ops::add_row_bias_(a, Tensor::from_values({1, 2, 3}));
-  EXPECT_TRUE(a.equals(Tensor({2, 3}, std::vector<float>{1, 2, 3, 2, 3, 4})));
-  Tensor bad = Tensor::from_values({1, 2});
-  EXPECT_THROW(ops::add_row_bias_(a, bad), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace mtlsplit
