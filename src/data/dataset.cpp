@@ -24,14 +24,14 @@ MultiTaskDataset::MultiTaskDataset(Tensor images,
   const auto k = static_cast<size_t>(images_.size(0));
   for (size_t j = 0; j < labels_.size(); ++j) {
     check_arg(labels_[j].size() == k,
-              msg_cat("MultiTaskDataset: task ", j, " has ", labels_[j].size(),
-                      " labels for ", k, " images"));
+              "MultiTaskDataset: task ", j, " has ", labels_[j].size(),
+              " labels for ", k, " images");
     check_arg(tasks_[j].num_classes > 1,
-              msg_cat("MultiTaskDataset: task ", j, " needs >= 2 classes"));
+              "MultiTaskDataset: task ", j, " needs >= 2 classes");
     for (int64_t y : labels_[j])
       check_arg(y >= 0 && y < tasks_[j].num_classes,
-                msg_cat("MultiTaskDataset: label ", y, " out of range for task ",
-                        tasks_[j].name));
+                "MultiTaskDataset: label ", y, " out of range for task ",
+                tasks_[j].name);
   }
 }
 

@@ -51,8 +51,8 @@ GraphExecutor::GraphExecutor(std::shared_ptr<const CompiledPlan> plan)
 
 float* GraphExecutor::value_ptr(int value_id, int64_t batch) {
   const Value& v = plan_->graph().values[static_cast<size_t>(value_id)];
-  check_arg(v.offset >= 0,
-            msg_cat("GraphExecutor: value ", v.name, " was never planned"));
+  check_arg(v.offset >= 0, "GraphExecutor: value ", v.name,
+            " was never planned");
   return arena_.data() + v.offset * batch;
 }
 
@@ -62,9 +62,9 @@ Tensor GraphExecutor::run(const Tensor& x) {
             "GraphExecutor::run: input rank mismatch");
   for (size_t d = 1; d < g.input_shape.size(); ++d)
     check_arg(x.size(static_cast<int64_t>(d)) == g.input_shape[d],
-              msg_cat("GraphExecutor::run: input dim ", d, " is ",
-                      x.size(static_cast<int64_t>(d)), ", compiled for ",
-                      g.input_shape[d]));
+              "GraphExecutor::run: input dim ", d, " is ",
+              x.size(static_cast<int64_t>(d)), ", compiled for ",
+              g.input_shape[d]);
   const int64_t nb = x.size(0);
   check_arg(nb >= 1, "GraphExecutor::run: empty batch");
 

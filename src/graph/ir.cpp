@@ -268,7 +268,7 @@ void lower_module(Graph& g, nn::Module& m, const std::string& label,
   } else if (auto* seq = dynamic_cast<nn::Sequential*>(&m)) {
     lower_sequential(g, *seq, label + "/", cur);
   } else {
-    check_arg(false, msg_cat("graph::lower: unsupported layer ", m.name()));
+    check_arg(false, "graph::lower: unsupported layer ", m.name());
   }
   cur.shape = out_shape;
 }

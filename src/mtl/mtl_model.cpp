@@ -118,8 +118,7 @@ void copy_model_state(MtlSplitModel& dst, MtlSplitModel& src) {
             "copy_model_state: models are not structurally identical");
   for (size_t i = 0; i < dp.size(); ++i) {
     check_arg(same_shape(dp[i]->value.shape(), sp[i]->value.shape()),
-              msg_cat("copy_model_state: parameter shape mismatch at ",
-                      sp[i]->name));
+              "copy_model_state: parameter shape mismatch at ", sp[i]->name);
     dp[i]->value = sp[i]->value;
   }
   const auto db = dst.all_buffers();

@@ -38,7 +38,7 @@ Tensor Activation::forward(const Tensor& x) {
 
 Tensor Activation::backward(const Tensor& grad_out) {
   check_arg(grad_out.shape() == cached_input_.shape(),
-            msg_cat(name(), "::backward: gradient shape mismatch"));
+            name(), "::backward: gradient shape mismatch");
   Tensor out(grad_out.shape());
   const float* pg = grad_out.data();
   const float* px = cached_input_.data();

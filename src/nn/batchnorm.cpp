@@ -41,8 +41,8 @@ BatchNorm2d::BatchNorm2d(int64_t channels, float momentum, float eps)
 
 Tensor BatchNorm2d::forward(const Tensor& x) {
   check_arg(x.dim() == 4 && x.size(1) == channels_,
-            msg_cat("BatchNorm2d: expected [N, ", channels_, ", H, W], got ",
-                    shape_str(x.shape())));
+            "BatchNorm2d: expected [N, ", channels_, ", H, W], got ",
+            x.shape());
   const int64_t n = x.size(0), h = x.size(2), w = x.size(3);
   const int64_t plane = h * w;
   const int64_t count = n * plane;

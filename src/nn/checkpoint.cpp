@@ -13,9 +13,9 @@ constexpr uint32_t kMagic = 0x4D54434B;  // 'MTCK'
 
 template <typename T>
 void put(std::vector<uint8_t>& out, T value) {
-  uint8_t buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out.insert(out.end(), buf, buf + sizeof(T));
+  const size_t at = out.size();
+  out.resize(at + sizeof(T));
+  std::memcpy(out.data() + at, &value, sizeof(T));
 }
 
 template <typename T>
@@ -50,8 +50,8 @@ Tensor get_record(const std::vector<uint8_t>& bytes, size_t& pos,
                              static_cast<std::ptrdiff_t>(pos + name_len));
   pos += name_len;
   check_arg(name == expected_name,
-            msg_cat("checkpoint: record name mismatch, file '", name,
-                    "' vs model '", expected_name, "'"));
+            "checkpoint: record name mismatch, file '", name, "' vs model '",
+            expected_name, "'");
   const auto wire_len = get<uint32_t>(bytes, pos);
   check_arg(pos + wire_len <= bytes.size(), "checkpoint: truncated tensor");
   const std::vector<uint8_t> wire(
@@ -62,9 +62,8 @@ Tensor get_record(const std::vector<uint8_t>& bytes, size_t& pos,
   check_arg(wt.dtype == WireDtype::kFloat32,
             "checkpoint: unexpected tensor dtype");
   check_arg(wt.f32.shape() == shape,
-            msg_cat("checkpoint: shape mismatch for '", expected_name,
-                    "': file ", shape_str(wt.f32.shape()), " vs model ",
-                    shape_str(shape)));
+            "checkpoint: shape mismatch for '", expected_name, "': file ",
+            wt.f32.shape(), " vs model ", shape);
   return wt.f32;
 }
 
@@ -96,11 +95,11 @@ void parameters_from_bytes(const std::vector<Parameter*>& params,
   const auto pcount = get<uint32_t>(bytes, pos);
   const auto bcount = get<uint32_t>(bytes, pos);
   check_arg(pcount == params.size(),
-            msg_cat("checkpoint: file has ", pcount, " parameters, model has ",
-                    params.size()));
+            "checkpoint: file has ", pcount, " parameters, model has ",
+            params.size());
   check_arg(bcount == buffers.size(),
-            msg_cat("checkpoint: file has ", bcount, " buffers, model has ",
-                    buffers.size()));
+            "checkpoint: file has ", bcount, " buffers, model has ",
+            buffers.size());
   for (Parameter* p : params) {
     check_arg(p != nullptr, "checkpoint: null parameter");
     p->value = get_record(bytes, pos, p->name, p->value.shape());

@@ -140,8 +140,7 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
 
 Tensor Conv2d::forward(const Tensor& x) {
   check_arg(x.dim() == 4 && x.size(1) == in_c_,
-            msg_cat("Conv2d: expected [N, ", in_c_, ", H, W], got ",
-                    shape_str(x.shape())));
+            "Conv2d: expected [N, ", in_c_, ", H, W], got ", x.shape());
   const ConvGeom g =
       make_geom(in_c_, x.size(2), x.size(3), kernel_, stride_, pad_);
   cached_input_ = x;
@@ -263,8 +262,8 @@ DepthwiseConv2d::DepthwiseConv2d(int64_t channels, int64_t kernel,
 
 Tensor DepthwiseConv2d::forward(const Tensor& x) {
   check_arg(x.dim() == 4 && x.size(1) == channels_,
-            msg_cat("DepthwiseConv2d: expected [N, ", channels_,
-                    ", H, W], got ", shape_str(x.shape())));
+            "DepthwiseConv2d: expected [N, ", channels_, ", H, W], got ",
+            x.shape());
   const ConvGeom g =
       make_geom(channels_, x.size(2), x.size(3), kernel_, stride_, pad_);
   cached_input_ = x;

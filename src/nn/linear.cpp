@@ -35,8 +35,7 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng,
 
 Tensor Linear::forward(const Tensor& x) {
   check_arg(x.dim() == 2 && x.size(1) == in_features_,
-            msg_cat("Linear: expected [N, ", in_features_, "], got ",
-                    shape_str(x.shape())));
+            "Linear: expected [N, ", in_features_, "], got ", x.shape());
   cached_input_ = x;
   Tensor y({x.size(0), out_features_});
   linear_forward(x.data(), x.size(0), in_features_, out_features_,

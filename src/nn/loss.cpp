@@ -11,12 +11,10 @@ LossResult cross_entropy(const Tensor& logits,
   check_arg(logits.dim() == 2, "cross_entropy: logits must be [N, C]");
   const int64_t n = logits.size(0), c = logits.size(1);
   check_arg(static_cast<int64_t>(targets.size()) == n,
-            msg_cat("cross_entropy: ", targets.size(), " targets for batch ",
-                    n));
+            "cross_entropy: ", targets.size(), " targets for batch ", n);
   for (int64_t t : targets)
     check_arg(t >= 0 && t < c,
-              msg_cat("cross_entropy: target ", t, " out of range [0, ", c,
-                      ")"));
+              "cross_entropy: target ", t, " out of range [0, ", c, ")");
 
   const Tensor logp = ops::log_softmax_rows(logits);
   double loss = 0.0;
@@ -42,8 +40,7 @@ LossResult cross_entropy(const Tensor& logits,
 
 LossResult mse(const Tensor& pred, const Tensor& target) {
   check_arg(same_shape(pred.shape(), target.shape()),
-            msg_cat("mse: shape mismatch ", shape_str(pred.shape()), " vs ",
-                    shape_str(target.shape())));
+            "mse: shape mismatch ", pred.shape(), " vs ", target.shape());
   check_arg(pred.numel() > 0, "mse: empty tensors");
   LossResult r;
   r.grad = Tensor(pred.shape());

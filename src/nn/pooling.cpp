@@ -12,8 +12,8 @@ namespace {
 constexpr int64_t kPlaneGrain = 8;
 
 int64_t pooled_extent(int64_t in, int64_t kernel, int64_t stride) {
-  check_arg(in >= kernel, msg_cat("pooling: input extent ", in,
-                                  " smaller than kernel ", kernel));
+  check_arg(in >= kernel, "pooling: input extent ", in,
+            " smaller than kernel ", kernel);
   return (in - kernel) / stride + 1;
 }
 

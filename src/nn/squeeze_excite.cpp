@@ -27,8 +27,8 @@ SqueezeExcite::SqueezeExcite(int64_t channels, int64_t reduction, Rng& rng)
 
 Tensor SqueezeExcite::forward(const Tensor& x) {
   check_arg(x.dim() == 4 && x.size(1) == channels_,
-            msg_cat("SqueezeExcite: expected [N, ", channels_, ", H, W], got ",
-                    shape_str(x.shape())));
+            "SqueezeExcite: expected [N, ", channels_, ", H, W], got ",
+            x.shape());
   cached_input_ = x;
   Tensor s = gate_.forward(fc2_.forward(relu_.forward(
       fc1_.forward(pool_.forward(x)))));  // [N, C]

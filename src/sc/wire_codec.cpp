@@ -259,9 +259,9 @@ std::vector<uint8_t> rle_range_decode(const uint8_t* payload, size_t len,
 
 template <typename T>
 void put(std::vector<uint8_t>& out, T value) {
-  uint8_t buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out.insert(out.end(), buf, buf + sizeof(T));
+  const size_t at = out.size();
+  out.resize(at + sizeof(T));
+  std::memcpy(out.data() + at, &value, sizeof(T));
 }
 
 std::vector<uint8_t> build_frame(uint8_t codec_id, uint64_t raw_size,

@@ -21,18 +21,16 @@ void validate_path(const std::string& path) {
   size_t seg_len = 0;
   for (char c : path) {
     if (c == '/') {
-      check_arg(seg_len > 0,
-                msg_cat("telemetry: empty segment in path '", path, "'"));
+      check_arg(seg_len > 0, "telemetry: empty segment in path '", path,
+                "'");
       seg_len = 0;
     } else {
-      check_arg(valid_segment_char(c),
-                msg_cat("telemetry: invalid character '", std::string(1, c),
-                        "' in path '", path, "'"));
+      check_arg(valid_segment_char(c), "telemetry: invalid character '", c,
+                "' in path '", path, "'");
       ++seg_len;
     }
   }
-  check_arg(seg_len > 0,
-            msg_cat("telemetry: empty segment in path '", path, "'"));
+  check_arg(seg_len > 0, "telemetry: empty segment in path '", path, "'");
 }
 
 void append_int(std::string& out, int64_t v) { out += std::to_string(v); }
@@ -72,9 +70,8 @@ std::string_view segment_at(const std::string& key, size_t depth) {
 Registry::Entry& Registry::entry_locked(const std::string& path, Kind kind) {
   auto it = entries_.find(path);
   if (it != entries_.end()) {
-    check_arg(it->second.kind == kind,
-              msg_cat("telemetry: '", path,
-                      "' already registered as a different metric kind"));
+    check_arg(it->second.kind == kind, "telemetry: '", path,
+              "' already registered as a different metric kind");
     return it->second;
   }
   validate_path(path);
@@ -83,16 +80,16 @@ Registry::Entry& Registry::entry_locked(const std::string& path, Kind kind) {
   for (size_t pos = path.find('/'); pos != std::string::npos;
        pos = path.find('/', pos + 1)) {
     check_arg(entries_.find(path.substr(0, pos)) == entries_.end(),
-              msg_cat("telemetry: '", path,
-                      "' collides with existing metric at a prefix"));
+              "telemetry: '", path,
+              "' collides with existing metric at a prefix");
   }
   // ...or when this path is a strict prefix of an existing metric.
   const std::string subtree = path + "/";
   auto below = entries_.lower_bound(subtree);
   check_arg(below == entries_.end() ||
                 below->first.compare(0, subtree.size(), subtree) != 0,
-            msg_cat("telemetry: '", path,
-                    "' names an interior node of existing metrics"));
+            "telemetry: '", path,
+            "' names an interior node of existing metrics");
 
   Entry e;
   e.kind = kind;
@@ -152,13 +149,13 @@ const Histogram* Registry::find_histogram(const std::string& path) const {
 
 int64_t Registry::counter_value(const std::string& path) const {
   const Counter* c = find_counter(path);
-  check_arg(c != nullptr, msg_cat("telemetry: no counter at '", path, "'"));
+  check_arg(c != nullptr, "telemetry: no counter at '", path, "'");
   return c->value();
 }
 
 double Registry::gauge_value(const std::string& path) const {
   const Gauge* g = find_gauge(path);
-  check_arg(g != nullptr, msg_cat("telemetry: no gauge at '", path, "'"));
+  check_arg(g != nullptr, "telemetry: no gauge at '", path, "'");
   return g->value();
 }
 

@@ -61,8 +61,7 @@ void col2im(const Tensor& cols, const ConvGeom& g, float* img) {
   g.validate();
   const int64_t rows = g.in_c * g.kernel_h * g.kernel_w;
   check_arg(cols.shape() == Shape{rows, g.out_h() * g.out_w()},
-            msg_cat("col2im: cols shape ", shape_str(cols.shape()),
-                    " does not match geometry"));
+            "col2im: cols shape ", cols.shape(), " does not match geometry");
   col2im(cols.data(), g, img);
 }
 

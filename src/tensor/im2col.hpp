@@ -25,10 +25,9 @@ struct ConvGeom {
     check_arg(kernel_h > 0 && kernel_w > 0, "ConvGeom: bad kernel dims");
     check_arg(stride > 0, "ConvGeom: stride must be positive");
     check_arg(pad >= 0, "ConvGeom: negative padding");
-    check_arg(out_h() > 0 && out_w() > 0,
-              msg_cat("ConvGeom: empty output for input ", in_h, "x", in_w,
-                      " kernel ", kernel_h, "x", kernel_w, " stride ", stride,
-                      " pad ", pad));
+    check_arg(out_h() > 0 && out_w() > 0, "ConvGeom: empty output for input ",
+              in_h, "x", in_w, " kernel ", kernel_h, "x", kernel_w,
+              " stride ", stride, " pad ", pad);
   }
 };
 

@@ -25,9 +25,9 @@ const std::array<uint32_t, 256>& crc_table() {
 
 template <typename T>
 void put(std::vector<uint8_t>& out, T value) {
-  uint8_t buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out.insert(out.end(), buf, buf + sizeof(T));
+  const size_t at = out.size();
+  out.resize(at + sizeof(T));
+  std::memcpy(out.data() + at, &value, sizeof(T));
 }
 
 template <typename T>

@@ -36,14 +36,8 @@ inline Shape row_major_strides(const Shape& shape) {
 /// True when two shapes are element-wise identical.
 inline bool same_shape(const Shape& a, const Shape& b) { return a == b; }
 
-/// Human-readable form, e.g. "[2, 3, 32, 32]".
-inline std::string shape_str(const Shape& shape) {
-  std::string s = "[";
-  for (size_t i = 0; i < shape.size(); ++i) {
-    if (i) s += ", ";
-    s += std::to_string(shape[i]);
-  }
-  return s + "]";
-}
+/// Human-readable form, e.g. "[2, 3, 32, 32]"; msg_cat prints a Shape part
+/// the same way.
+inline std::string shape_str(const Shape& shape) { return msg_cat(shape); }
 
 }  // namespace mtlsplit

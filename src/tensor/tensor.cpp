@@ -18,15 +18,14 @@ Tensor Tensor::reshape(Shape new_shape) const {
   }
   if (infer >= 0) {
     check_arg(known > 0 && numel() % known == 0,
-              msg_cat("reshape: cannot infer dim, ", numel(),
-                      " not divisible by ", known));
+              "reshape: cannot infer dim, ", numel(), " not divisible by ",
+              known);
     new_shape[static_cast<size_t>(infer)] = numel() / known;
     known *= new_shape[static_cast<size_t>(infer)];
   }
   check_arg(known == numel(),
-            msg_cat("reshape: ", shape_str(shape_), " (", numel(),
-                    " elements) to ", shape_str(new_shape), " (", known,
-                    " elements)"));
+            "reshape: ", shape_, " (", numel(), " elements) to ", new_shape,
+            " (", known, " elements)");
   Tensor out = *this;
   out.shape_ = std::move(new_shape);
   return out;

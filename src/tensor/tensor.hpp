@@ -36,8 +36,8 @@ class Tensor {
   Tensor(Shape shape, std::vector<float> data)
       : shape_(std::move(shape)), data_(std::move(data)) {
     check_arg(static_cast<int64_t>(data_.size()) == mtlsplit::numel(shape_),
-              msg_cat("Tensor: data size ", data_.size(),
-                      " does not match shape ", shape_str(shape_)));
+              "Tensor: data size ", data_.size(), " does not match shape ",
+              shape_);
   }
 
   /// Convenience: 1-d tensor from an initializer list.
@@ -54,9 +54,8 @@ class Tensor {
   int64_t size(int64_t i) const {
     const int64_t d = dim();
     if (i < 0) i += d;
-    check_bounds(i >= 0 && i < d,
-                 msg_cat("Tensor::size: dim ", i, " out of range for ",
-                         shape_str(shape_)));
+    check_bounds(i >= 0 && i < d, "Tensor::size: dim ", i,
+                 " out of range for ", shape_);
     return shape_[static_cast<size_t>(i)];
   }
 
@@ -70,13 +69,13 @@ class Tensor {
 
   /// Bounds-checked linear access.
   float& at(int64_t i) {
-    check_bounds(i >= 0 && i < numel(),
-                 msg_cat("Tensor::at: index ", i, " out of range ", numel()));
+    check_bounds(i >= 0 && i < numel(), "Tensor::at: index ", i,
+                 " out of range ", numel());
     return data_[static_cast<size_t>(i)];
   }
   float at(int64_t i) const {
-    check_bounds(i >= 0 && i < numel(),
-                 msg_cat("Tensor::at: index ", i, " out of range ", numel()));
+    check_bounds(i >= 0 && i < numel(), "Tensor::at: index ", i,
+                 " out of range ", numel());
     return data_[static_cast<size_t>(i)];
   }
 
@@ -84,8 +83,7 @@ class Tensor {
   float& at(int64_t r, int64_t c) {
     check_bounds(dim() == 2, "Tensor::at(r,c): tensor is not 2-d");
     check_bounds(r >= 0 && r < shape_[0] && c >= 0 && c < shape_[1],
-                 msg_cat("Tensor::at: (", r, ",", c, ") out of range ",
-                         shape_str(shape_)));
+                 "Tensor::at: (", r, ",", c, ") out of range ", shape_);
     return data_[static_cast<size_t>(r * shape_[1] + c)];
   }
   float at(int64_t r, int64_t c) const {
@@ -98,8 +96,8 @@ class Tensor {
     const int64_t C = shape_[1], H = shape_[2], W = shape_[3];
     check_bounds(n >= 0 && n < shape_[0] && c >= 0 && c < C && h >= 0 &&
                      h < H && w >= 0 && w < W,
-                 msg_cat("Tensor::at: (", n, ",", c, ",", h, ",", w,
-                         ") out of range ", shape_str(shape_)));
+                 "Tensor::at: (", n, ",", c, ",", h, ",", w,
+                 ") out of range ", shape_);
     return data_[static_cast<size_t>(((n * C + c) * H + h) * W + w)];
   }
   float at(int64_t n, int64_t c, int64_t h, int64_t w) const {

@@ -18,8 +18,7 @@ constexpr int64_t kEwGrain = 1 << 15;
 
 void require_same_shape(const Tensor& a, const Tensor& b, const char* op) {
   check_arg(same_shape(a.shape(), b.shape()),
-            msg_cat(op, ": shape mismatch ", shape_str(a.shape()), " vs ",
-                    shape_str(b.shape())));
+            op, ": shape mismatch ", a.shape(), " vs ", b.shape());
 }
 
 template <typename F>
@@ -186,8 +185,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   check_arg(a.dim() == 2 && b.dim() == 2, "matmul: operands must be 2-d");
   const int64_t m = a.size(0), k = a.size(1), n = b.size(1);
   check_arg(b.size(0) == k,
-            msg_cat("matmul: inner dims differ, ", shape_str(a.shape()),
-                    " vs ", shape_str(b.shape())));
+            "matmul: inner dims differ, ", a.shape(), " vs ", b.shape());
   Tensor c({m, n});
   detail::gemm(m, n, k, a.data(), b.data(), c.data());
   return c;
@@ -197,8 +195,7 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   check_arg(a.dim() == 2 && b.dim() == 2, "matmul_tn: operands must be 2-d");
   const int64_t m = a.size(0), k = a.size(1), n = b.size(1);
   check_arg(b.size(0) == m,
-            msg_cat("matmul_tn: outer dims differ, ", shape_str(a.shape()),
-                    " vs ", shape_str(b.shape())));
+            "matmul_tn: outer dims differ, ", a.shape(), " vs ", b.shape());
   Tensor c({k, n});
   // C = A^T B: transpose A into the per-thread workspace, then it is a
   // plain GEMM whose reduction still runs over i in index order.
@@ -213,8 +210,7 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   check_arg(a.dim() == 2 && b.dim() == 2, "matmul_nt: operands must be 2-d");
   const int64_t m = a.size(0), n = a.size(1), k = b.size(0);
   check_arg(b.size(1) == n,
-            msg_cat("matmul_nt: inner dims differ, ", shape_str(a.shape()),
-                    " vs ", shape_str(b.shape())));
+            "matmul_nt: inner dims differ, ", a.shape(), " vs ", b.shape());
   Tensor c({m, k});
   detail::gemm_nt(m, n, k, a.data(), b.data(), c.data());
   return c;
@@ -237,8 +233,8 @@ Tensor concat_batch(const std::vector<Tensor>& parts) {
     check_arg(p.dim() == parts[0].dim(), "concat_batch: rank mismatch");
     for (int64_t d = 1; d < p.dim(); ++d)
       check_arg(p.size(d) == parts[0].size(d),
-                msg_cat("concat_batch: trailing shape mismatch ",
-                        shape_str(p.shape()), " vs ", shape_str(first)));
+                "concat_batch: trailing shape mismatch ", p.shape(), " vs ",
+                first);
     total += p.size(0);
   }
   Shape out_shape = first;
@@ -255,8 +251,8 @@ Tensor concat_batch(const std::vector<Tensor>& parts) {
 Tensor slice_batch(const Tensor& t, int64_t begin, int64_t end) {
   check_arg(t.dim() >= 1, "slice_batch: tensor must have a batch dim");
   check_arg(begin >= 0 && begin < end && end <= t.size(0),
-            msg_cat("slice_batch: bad range [", begin, ", ", end, ") for ",
-                    shape_str(t.shape())));
+            "slice_batch: bad range [", begin, ", ", end, ") for ",
+            t.shape());
   const int64_t sample = t.numel() / std::max<int64_t>(t.size(0), 1);
   Shape out_shape = t.shape();
   out_shape[0] = end - begin;

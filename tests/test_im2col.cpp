@@ -5,9 +5,12 @@
 #include "tensor/im2col.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "test_util.hpp"
 
 namespace mtlsplit {
 namespace {
+
+using testing::thrown_what;
 
 TEST(ConvGeom, OutputExtents) {
   ConvGeom g{.in_c = 3, .in_h = 8, .in_w = 8, .kernel_h = 3, .kernel_w = 3,
@@ -23,7 +26,8 @@ TEST(ConvGeom, OutputExtents) {
 TEST(ConvGeom, ValidationCatchesEmptyOutput) {
   ConvGeom g{.in_c = 1, .in_h = 2, .in_w = 2, .kernel_h = 5, .kernel_w = 5,
              .stride = 1, .pad = 0};
-  EXPECT_THROW(g.validate(), std::invalid_argument);
+  EXPECT_EQ(thrown_what<std::invalid_argument>([&] { g.validate(); }),
+            "ConvGeom: empty output for input 2x2 kernel 5x5 stride 1 pad 0");
   g.pad = 2;
   EXPECT_NO_THROW(g.validate());
 }

@@ -2,12 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "tensor/shape.hpp"
 #include "tensor/tensor.hpp"
+#include "test_util.hpp"
 
 namespace mtlsplit {
 namespace {
+
+using testing::thrown_what;
 
 TEST(Shape, NumelAndStrides) {
   EXPECT_EQ(numel({2, 3, 4}), 24);
@@ -25,6 +29,34 @@ TEST(Shape, NegativeDimThrows) {
 TEST(Shape, ToString) {
   EXPECT_EQ(shape_str({2, 3}), "[2, 3]");
   EXPECT_EQ(shape_str({}), "[]");
+}
+
+// Streams as "part" and counts how often it was formatted.
+struct CountedPart {
+  int* calls;
+};
+
+std::ostream& operator<<(std::ostream& os, const CountedPart& p) {
+  ++*p.calls;
+  return os << "part";
+}
+
+TEST(Check, FormatsMessageOnlyOnFailure) {
+  int calls = 0;
+  const CountedPart part{&calls};
+  check_arg(true, "arg ", part, " ", 7);
+  check_bounds(true, "bounds ", part);
+  EXPECT_EQ(calls, 0);
+
+  EXPECT_EQ(thrown_what<std::invalid_argument>(
+                [&] { check_arg(false, "arg ", part, " ", 7); }),
+            "arg part 7");
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(thrown_what<std::out_of_range>([&] {
+              check_bounds(false, "bounds ", part, " of ", Shape{2, 3});
+            }),
+            "bounds part of [2, 3]");
+  EXPECT_EQ(calls, 2);
 }
 
 TEST(Tensor, DefaultIsEmpty) {
@@ -46,8 +78,9 @@ TEST(Tensor, FillValueConstructor) {
 
 TEST(Tensor, DataConstructorValidatesSize) {
   EXPECT_NO_THROW(Tensor({2, 2}, std::vector<float>{1, 2, 3, 4}));
-  EXPECT_THROW(Tensor({2, 2}, std::vector<float>{1, 2, 3}),
-               std::invalid_argument);
+  EXPECT_EQ(thrown_what<std::invalid_argument>(
+                [] { Tensor({2, 2}, std::vector<float>{1, 2, 3}); }),
+            "Tensor: data size 3 does not match shape [2, 2]");
 }
 
 TEST(Tensor, FromValues) {
@@ -61,15 +94,19 @@ TEST(Tensor, SizeSupportsNegativeIndex) {
   EXPECT_EQ(t.size(0), 2);
   EXPECT_EQ(t.size(-1), 4);
   EXPECT_EQ(t.size(-3), 2);
-  EXPECT_THROW(t.size(3), std::out_of_range);
-  EXPECT_THROW(t.size(-4), std::out_of_range);
+  // The message shows the index after negative wrapping.
+  EXPECT_EQ(thrown_what<std::out_of_range>([&] { t.size(3); }),
+            "Tensor::size: dim 3 out of range for [2, 3, 4]");
+  EXPECT_EQ(thrown_what<std::out_of_range>([&] { t.size(-4); }),
+            "Tensor::size: dim -1 out of range for [2, 3, 4]");
 }
 
 TEST(Tensor, At2d) {
   Tensor t({2, 3});
   t.at(1, 2) = 7.0f;
   EXPECT_EQ(t[5], 7.0f);
-  EXPECT_THROW(t.at(2, 0), std::out_of_range);
+  EXPECT_EQ(thrown_what<std::out_of_range>([&] { t.at(2, 0); }),
+            "Tensor::at: (2,0) out of range [2, 3]");
   EXPECT_THROW(t.at(0, 3), std::out_of_range);
   Tensor t3({2, 3, 4});
   EXPECT_THROW(t3.at(0, 0), std::out_of_range);

@@ -5,9 +5,12 @@
 
 #include "tensor/rng.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "test_util.hpp"
 
 namespace mtlsplit {
 namespace {
+
+using testing::thrown_what;
 
 TEST(Elementwise, BasicArithmetic) {
   const Tensor a = Tensor::from_values({1, 2, 3});
@@ -90,6 +93,14 @@ TEST(MatMul, InnerDimMismatchThrows) {
                std::invalid_argument);
   EXPECT_THROW(ops::matmul_nt(Tensor({2, 3}), Tensor({2, 2})),
                std::invalid_argument);
+}
+
+TEST(BatchOps, SliceBatchRejectsBadRange) {
+  const Tensor t({2, 3});
+  EXPECT_EQ(ops::slice_batch(t, 1, 2).shape(), (Shape{1, 3}));
+  EXPECT_EQ(thrown_what<std::invalid_argument>(
+                [&] { ops::slice_batch(t, 1, 3); }),
+            "slice_batch: bad range [1, 3) for [2, 3]");
 }
 
 TEST(MatMul, Transpose2d) {

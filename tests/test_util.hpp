@@ -1,4 +1,5 @@
-// Shared test helpers: finite-difference gradient checking.
+// Shared test helpers: finite-difference gradient checking, and the text
+// of a thrown exception.
 //
 // Every layer's backward() is validated against central finite differences
 // of a scalar probe loss L = sum(forward(x) .* W) for a fixed random W:
@@ -10,12 +11,26 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "nn/module.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace mtlsplit::testing {
+
+/// what() of the @p E that @p f throws. Any other exception propagates and
+/// fails the test; returning normally fails it too.
+template <typename E, typename F>
+std::string thrown_what(F&& f) {
+  try {
+    f();
+  } catch (const E& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected an exception";
+  return "";
+}
 
 /// Probe loss L = sum(m.forward(x) .* w).
 inline float probe_loss(nn::Module& m, const Tensor& x, const Tensor& w) {
