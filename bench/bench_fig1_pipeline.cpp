@@ -17,6 +17,7 @@
 
 #include "data/shapes3d.hpp"
 #include "graph/split_search.hpp"
+#include "json.hpp"
 #include "models/backbone.hpp"
 #include "mtl/model_factory.hpp"
 #include "mtl/trainer.hpp"
@@ -57,74 +58,51 @@ struct SearchRow {
   graph::SplitSearchResult r;
 };
 
-void write_json(const std::vector<ParadigmRow>& rows,
-                const StreamStages& raw_stage,
-                const StreamStages& codec_stage, size_t stream_len,
-                const std::vector<SearchRow>& searches) {
-  FILE* f = std::fopen("BENCH_FIG1_PIPELINE.json", "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write BENCH_FIG1_PIPELINE.json\n");
-    return;
+/// BENCH_FIG1_PIPELINE.json: the paradigm rows, the stream's stage
+/// totals, and every backbone's split-point frontier.
+bench::Json report(const std::vector<ParadigmRow>& rows,
+                   const StreamStages& raw_stage,
+                   const StreamStages& codec_stage, size_t stream_len,
+                   const std::vector<SearchRow>& searches) {
+  using bench::Json;
+  Json out{{"bench", "fig1_pipeline"}};
+  Json& paradigms = out["paradigms"] = Json::array();
+  for (const ParadigmRow& row : rows) {
+    const auto& l = row.r.latency;
+    paradigms.push({{"name", row.name}, {"edge_ms", 1e3 * l.edge_compute_s},
+                    {"wire_ms", 1e3 * l.wire.time_s},
+                    {"server_ms", 1e3 * l.server_compute_s},
+                    {"total_ms", 1e3 * l.total_s()},
+                    {"wire_bytes", l.wire.bytes},
+                    {"wire_bytes_raw", l.wire.bytes_raw},
+                    {"bit_exact", row.bit_exact}});
   }
-  std::fprintf(f, "{\n  \"bench\": \"fig1_pipeline\",\n");
-  std::fprintf(f, "  \"paradigms\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const auto& l = rows[i].r.latency;
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"edge_ms\": %.4f, "
-                 "\"wire_ms\": %.4f, \"server_ms\": %.4f, "
-                 "\"total_ms\": %.4f, \"wire_bytes\": %lld, "
-                 "\"wire_bytes_raw\": %lld, \"bit_exact\": %s}%s\n",
-                 rows[i].name, 1e3 * l.edge_compute_s, 1e3 * l.wire.time_s,
-                 1e3 * l.server_compute_s, 1e3 * l.total_s(),
-                 static_cast<long long>(l.wire.bytes),
-                 static_cast<long long>(l.wire.bytes_raw),
-                 rows[i].bit_exact ? "true" : "false",
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"stream\": {\n    \"items\": %zu,\n", stream_len);
-  auto stage = [&](const char* key, const StreamStages& s, bool last) {
-    std::fprintf(f,
-                 "    \"%s\": {\"edge_ms\": %.4f, \"wire_ms\": %.4f, "
-                 "\"server_ms\": %.4f, \"pipelined_ms\": %.4f, "
-                 "\"wire_bytes\": %lld, \"wire_bytes_raw\": %lld}%s\n",
-                 key, 1e3 * s.edge_s, 1e3 * s.wire.time_s, 1e3 * s.server_s,
-                 1e3 * s.pipelined_s, static_cast<long long>(s.wire.bytes),
-                 static_cast<long long>(s.wire.bytes_raw), last ? "" : ",");
+  auto stage = [](const StreamStages& s) -> Json {
+    return {{"edge_ms", 1e3 * s.edge_s}, {"wire_ms", 1e3 * s.wire.time_s},
+            {"server_ms", 1e3 * s.server_s},
+            {"pipelined_ms", 1e3 * s.pipelined_s},
+            {"wire_bytes", s.wire.bytes}, {"wire_bytes_raw", s.wire.bytes_raw}};
   };
-  stage("wire_raw", raw_stage, false);
-  stage("wire_codec", codec_stage, true);
-  std::fprintf(f, "  },\n");
-
-  std::fprintf(f, "  \"split_search\": [\n");
-  for (size_t s = 0; s < searches.size(); ++s) {
-    const auto& sr = searches[s].r;
-    std::fprintf(f,
-                 "    {\"backbone\": \"%s\", \"bandwidth_bps\": %.0f, "
-                 "\"handpicked\": %zu, \"best_serial\": %zu, "
-                 "\"best_pipelined\": %zu,\n     \"frontier\": [\n",
-                 searches[s].backbone.c_str(), searches[s].bandwidth_bps,
-                 sr.handpicked, sr.best_serial, sr.best_pipelined);
-    for (size_t k = 0; k < sr.frontier.size(); ++k) {
-      const auto& c = sr.frontier[k];
-      std::fprintf(f,
-                   "      {\"index\": %zu, \"label\": \"%s\", "
-                   "\"edge_flops\": %lld, \"wire_bytes\": %lld, "
-                   "\"server_flops\": %lld, \"serial_ms\": %.4f, "
-                   "\"bottleneck_ms\": %.4f}%s\n",
-                   c.index, c.label.c_str(),
-                   static_cast<long long>(c.edge_flops),
-                   static_cast<long long>(c.wire_bytes),
-                   static_cast<long long>(c.server_flops),
-                   1e3 * c.serial_s(), 1e3 * c.bottleneck_s(),
-                   k + 1 < sr.frontier.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]}%s\n", s + 1 < searches.size() ? "," : "");
+  out["stream"] = {{"items", stream_len},
+                   {"wire_raw", stage(raw_stage)},
+                   {"wire_codec", stage(codec_stage)}};
+  Json& split_search = out["split_search"] = Json::array();
+  for (const SearchRow& row : searches) {
+    Json frontier = Json::array();
+    for (const auto& c : row.r.frontier)
+      frontier.push({{"index", c.index}, {"label", c.label},
+                     {"edge_flops", c.edge_flops}, {"wire_bytes", c.wire_bytes},
+                     {"server_flops", c.server_flops},
+                     {"serial_ms", 1e3 * c.serial_s()},
+                     {"bottleneck_ms", 1e3 * c.bottleneck_s()}});
+    split_search.push({{"backbone", row.backbone},
+                       {"bandwidth_bps", row.bandwidth_bps},
+                       {"handpicked", row.r.handpicked},
+                       {"best_serial", row.r.best_serial},
+                       {"best_pipelined", row.r.best_pipelined},
+                       {"frontier", frontier}});
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_FIG1_PIPELINE.json\n");
+  return out;
 }
 
 }  // namespace
@@ -380,6 +358,10 @@ int main(int argc, char** argv) {
       "degrades, the entropy codec shrinks the wire stage further (int8\n"
       "logits unchanged bit for bit), and the pipelined stream never runs\n"
       "slower than its bottleneck stage implies.\n");
-  write_json(rows, raw_stage, codec_stage, stream_len, searches);
+  if (report(rows, raw_stage, codec_stage, stream_len, searches)
+          .write("BENCH_FIG1_PIPELINE.json"))
+    std::printf("\nwrote BENCH_FIG1_PIPELINE.json\n");
+  else
+    std::fprintf(stderr, "cannot write BENCH_FIG1_PIPELINE.json\n");
   return 0;
 }

@@ -1,621 +1,768 @@
-// Multi-client serving bench: open-loop Poisson load over ScServer.
+// Multi-client serving bench over ScServer and FleetRouter.
 //
-// Three parts, all emitted into BENCH_SERVING.json:
+// kScenarios (bottom of the file) is the whole bench. Each entry is
+// {key, why, run}; run returns one Report holding the scenario's metrics,
+// nested under the BENCH_SERVING.json keys they fill, and its named gates.
+// main() prints every Report, writes BENCH_SERVING.json with one top-level
+// "gates" array, and exits 0 only if every gate passed. A gate that checks
+// that a scenario provoked the condition it names reports not_exercised
+// instead of fail, which fails the run too. Numbers without a gate are
+// reported, never claimed.
 //
-//  1. Load sweep (as in PR 2): N client threads submit single-sample
-//     requests at exponentially distributed inter-arrival times (open
-//     loop: the schedule never waits for completions, so queueing delay
-//     shows up in the latency percentiles instead of silently throttling
-//     the offered load), crossed with the batching policy.
-//  2. Overload scenario: saturation throughput is probed closed-loop,
-//     then 4x that rate is offered against Reject admission. Because the
-//     queue is bounded and submit() never waits for queue space, the p99
-//     of *admitted* requests must stay within ~2x of the unsaturated p99,
-//     and the worst-case submit() call time stays at millisecond scale
-//     (lock + settle, never a capacity wait).
-//  3. Fairness scenario: one flooding client (closed loop, deep window)
-//     against three modest open-loop clients on one DRR queue; the
-//     flooder is capped to its deficit-round-robin share while the other
-//     clients complete their full offered load.
-//  4. Deadline scenario: the same overload offered with a per-request
-//     ttl. Without deadlines every admitted request is computed however
-//     stale; with them, work that already missed its SLO is settled with
-//     DeadlineExceededError before it reaches the model, so the p99 of
-//     what *is* served stays near the unsaturated tail.
-//  5. Autoscale scenario: a burst against a min=1/max=3 autoscaling
-//     server vs the same burst on a static single replica; the
-//     controller mints replicas (copy_model_state + Channel::fork) while
-//     the burst drains and retires them once idle.
-//  6. Wire scenario: entropy codec on/off x packet loss 0/1/5% on a
-//     sparse-ReLU VGG bottleneck over a packetised lossy link (MTU
-//     framing, jitter, bounded retransmits). Reports on-wire vs raw
-//     bytes, the compression ratio (target <= 0.6 with the codec on),
-//     retransmit counts, p99, and that every request settles exactly
-//     once with logits bitwise identical to sequential infer().
-//  7. SLO scenario: a traffic ramp (0.6x -> 1.6x -> 3.0x saturation)
-//     against a deep Reject queue, once with the static depth knob and
-//     once with the SloController driving the same knob from measured
-//     p99 slack. The static queue keeps admitting into a deep backlog,
-//     so admitted-request p99 blows through the target on the final
-//     stage; the controller sheds depth at the door and holds it.
-//     Both curves land in BENCH_SERVING.json and the comparison is a
-//     hard gate: the bench fails unless the controller strictly wins.
-//  8. Fleet chaos drill: a 3-node FleetRouter fleet at peak load loses a
-//     node (kill_node black-holes it). The SWIM prober must declare the
-//     death within its configured miss window, every in-flight future
-//     must settle exactly once (transparent failover for the victim's
-//     orphans — 0 lost futures is a hard exit gate), the lost replica is
-//     re-minted on the survivors, and everything served before, during
-//     and after the failover stays bitwise identical to sequential
-//     infer().
+// Every open-loop scenario runs drive(): Poisson clients on a schedule
+// that never waits for completions, so queueing delay shows up in the
+// latency tail instead of silently throttling the offered load.
 #include <algorithm>
-#include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <mutex>
+#include <deque>
+#include <limits>
+#include <optional>
 #include <random>
 #include <thread>
 
 #include "fleet/fleet.hpp"
+#include "json.hpp"
 #include "mtl/model_factory.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/server.hpp"
 
 using namespace mtlsplit;
+using bench::Json;
+using Clock = std::chrono::steady_clock;
 
 namespace {
 
 constexpr size_t kClients = 8;
 constexpr size_t kPerClient = 24;
-constexpr size_t kWorkers = 2;
 constexpr int64_t kImage = 16;
 
-struct CellResult {
-  double offered_qps = 0.0;
-  serve::BatchingPolicy policy;
-  serve::ServeStats stats;
+/// The link every scenario but the wire sweep serves over.
+const sc::ChannelConfig kLan{.bandwidth_bps = 1e9, .base_latency_s = 0.0002};
+
+// -------------------------------------------------------------- reports
+
+struct Gate {
+  std::string name;
+  double value = 0.0;
+  const char* op = "==";
+  double bound = 0.0;
+  std::string verdict;  // pass, fail or not_exercised
+  bool passed() const { return verdict == "pass"; }
 };
 
-struct OverloadResult {
-  double saturation_qps = 0.0;
-  double unsat_qps = 0.0;
-  double unsat_p99_ms = 0.0;
-  double overload_qps = 0.0;
-  double overload_p99_ms = 0.0;
-  double max_submit_ms = 0.0;  // worst submit() stall under overload
-  int64_t admitted = 0;
-  int64_t rejected = 0;
+struct Report {
+  Json metrics;
+  std::vector<Gate> gates;
+
+  /// Declares a gate that passes when `value op bound` holds. Otherwise it
+  /// fails, or, for a gate checking that the scenario provoked the
+  /// condition it names (@p exercise), it is not_exercised.
+  void gate(std::string name, double value, const char* op, double bound,
+            bool exercise = false) {
+    const std::string o = op;
+    const bool holds = o == "<"    ? value < bound
+                       : o == "<=" ? value <= bound
+                       : o == "==" ? value == bound
+                       : o == ">=" ? value >= bound
+                                   : value > bound;
+    gates.push_back({std::move(name), value, op, bound,
+                     holds ? "pass" : exercise ? "not_exercised" : "fail"});
+  }
+  bool ok() const {
+    return std::all_of(gates.begin(), gates.end(),
+                       [](const Gate& g) { return g.passed(); });
+  }
 };
 
-struct FairnessClient {
-  uint64_t client_id = 0;
-  bool flooder = false;
-  int64_t submitted = 0;
-  int64_t completed = 0;
-  int64_t shed_or_rejected = 0;
-};
+// --------------------------------------------------------------- models
 
-struct FairnessResult {
-  std::vector<FairnessClient> clients;
-  double duration_s = 0.0;
-  double victim_offered_qps = 0.0;  // per non-flooding client
-};
-
-std::unique_ptr<core::MtlSplitModel> make_replica(uint64_t seed) {
+std::unique_ptr<core::MtlSplitModel> make_replica(
+    uint64_t seed,
+    models::BackboneKind backbone = models::BackboneKind::kMobileNetV3,
+    int64_t image = kImage) {
   Rng rng(seed);
   core::ModelFactoryConfig cfg;
-  cfg.backbone = models::BackboneKind::kMobileNetV3;
-  cfg.image_shape = {3, kImage, kImage};
+  cfg.backbone = backbone;
+  cfg.image_shape = {3, image, image};
   auto m = core::make_mtl_model(cfg, {{"scale", 8}, {"shape", 4}}, rng);
   m->set_training(false);
   return m;
 }
 
-Tensor request_input(uint64_t seed) {
+Tensor request_input(uint64_t seed, int64_t image = kImage) {
   Rng rng(seed);
-  Tensor x({1, 3, kImage, kImage});
+  Tensor x({1, 3, image, image});
   rng.fill_uniform(x, 0.0f, 1.0f);
   return x;
 }
 
-/// Drives one load cell: 8 open-loop Poisson clients against a fresh
-/// server, returns the stats snapshot.
-CellResult run_cell(std::vector<core::MtlSplitModel*> replicas,
-                    double offered_qps, serve::BatchingPolicy policy) {
-  sc::Channel link({.bandwidth_bps = 1e9, .base_latency_s = 0.0002});
-  serve::ScServer server(std::move(replicas), link, sc::jetson_nano(),
-                         sc::rtx3090_server(), {.batching = policy});
+/// The models the scenarios share: two worker replicas and a sequential
+/// reference, all holding replica 0's weights.
+struct Models {
+  std::unique_ptr<core::MtlSplitModel> m0 = make_replica(1);
+  std::unique_ptr<core::MtlSplitModel> m1 = make_replica(2);
+  std::unique_ptr<core::MtlSplitModel> ref = make_replica(3);
+  Models() {
+    core::copy_model_state(*m1, *m0);
+    core::copy_model_state(*ref, *m0);
+  }
+};
 
-  std::vector<std::thread> clients;
-  for (size_t c = 0; c < kClients; ++c)
-    clients.emplace_back([&, c] {
-      // Per-client Poisson process at rate offered_qps / kClients.
-      std::mt19937_64 gen(0xC0FFEE + c);
-      std::exponential_distribution<double> gap(offered_qps /
-                                                static_cast<double>(kClients));
-      std::vector<std::future<sc::InferenceResult>> futures;
-      auto next_arrival = std::chrono::steady_clock::now();
-      for (size_t k = 0; k < kPerClient; ++k) {
-        next_arrival += std::chrono::duration_cast<
-            std::chrono::steady_clock::duration>(
+/// A server over its own kLan channel, which must outlive it.
+struct LanServer {
+  sc::Channel link{kLan};
+  serve::ScServer server;
+  LanServer(std::vector<core::MtlSplitModel*> replicas, serve::ServeConfig cfg)
+      : server(std::move(replicas), link, sc::jetson_nano(),
+               sc::rtx3090_server(), std::move(cfg)) {}
+};
+
+bool same_logits(const sc::InferenceResult& got,
+                 const sc::InferenceResult& want) {
+  for (size_t j = 0; j < want.logits.size(); ++j)
+    if (!got.logits[j].equals(want.logits[j])) return false;
+  return true;
+}
+
+double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+double p99_ms(std::vector<double> latency_s) {
+  if (latency_s.empty()) return 0.0;
+  std::sort(latency_s.begin(), latency_s.end());
+  return 1e3 * latency_s[(latency_s.size() - 1) * 99 / 100];
+}
+
+// ---------------------------------------------------------- load driver
+
+/// One request in flight, polled to settlement by harvest().
+struct Flight {
+  Clock::time_point t0, ready_at;
+  std::future<sc::InferenceResult> f;
+  bool done = false;
+  std::optional<sc::InferenceResult> value;  // empty: settled with an error
+};
+
+/// Settles every ready flight, stamping when it was seen ready, and
+/// returns how many are still pending. Polling bounds the stamp error by
+/// one poll; an in-order blocking get() would time earlier completions
+/// against a later one and inflate the tail.
+size_t harvest(std::vector<Flight>& flights) {
+  size_t pending = 0;
+  for (Flight& fl : flights) {
+    if (fl.done) continue;
+    if (fl.f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+      ++pending;
+      continue;
+    }
+    fl.ready_at = Clock::now();
+    fl.done = true;
+    try {
+      fl.value = fl.f.get();
+    } catch (...) {
+    }
+  }
+  return pending;
+}
+
+/// Harvests until every flight settled or @p give_up passed; returns how
+/// many never settled.
+size_t settle(std::vector<Flight>& flights,
+              Clock::time_point give_up = Clock::time_point::max()) {
+  size_t pending = 0;
+  while ((pending = harvest(flights)) > 0 && Clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  return pending;
+}
+
+/// Open-loop Poisson load. Client ids run from first_client; client id
+/// submits at qps / clients with gaps drawn from generator arrival_seed +
+/// id and request k seeded input_seed + id * input_stride + k.
+struct Load {
+  double qps = 0.0;
+  size_t per_client = 0;  ///< requests per client, unless `until` ends it
+  Clock::time_point until = Clock::time_point::max();  ///< last arrival
+  uint64_t arrival_seed = 0;
+  uint64_t input_seed = 0;
+  uint64_t input_stride = 1000;
+  size_t clients = kClients;
+  uint64_t first_client = 0;
+  std::chrono::microseconds ttl{0};  ///< per-request deadline; 0 = none
+};
+
+struct ClientTally {
+  uint64_t client = 0;
+  int64_t submitted = 0;
+  int64_t completed = 0;
+  int64_t errored = 0;  ///< settled with any error (rejected, shed, expired)
+};
+
+struct LoadResult {
+  std::vector<ClientTally> clients;
+  std::vector<double> latency_s;  ///< client-observed, completed requests
+  double max_submit_ms = 0.0;     ///< the slowest submit() call
+  int64_t sum(int64_t ClientTally::*field) const {
+    int64_t n = 0;
+    for (const ClientTally& c : clients) n += c.*field;
+    return n;
+  }
+};
+
+LoadResult drive(serve::ScServer& server, const Load& load) {
+  std::vector<std::vector<Flight>> flights(load.clients);
+  std::vector<double> max_submit_s(load.clients, 0.0);
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < load.clients; ++c)
+    threads.emplace_back([&, c] {
+      const uint64_t id = load.first_client + c;
+      std::mt19937_64 gen(load.arrival_seed + id);
+      std::exponential_distribution<double> gap(
+          load.qps / static_cast<double>(load.clients));
+      auto next = Clock::now();
+      for (size_t k = 0; k < load.per_client; ++k) {
+        next += std::chrono::duration_cast<Clock::duration>(
             std::chrono::duration<double>(gap(gen)));
-        std::this_thread::sleep_until(next_arrival);
-        futures.push_back(server.submit(request_input(7000 + c * 1000 + k),
-                                        {.client_id = c}));
+        if (next >= load.until) break;
+        std::this_thread::sleep_until(next);
+        Flight& fl = flights[c].emplace_back();
+        fl.t0 = Clock::now();
+        fl.f = server.submit(
+            request_input(load.input_seed + id * load.input_stride + k),
+            {.client_id = id, .ttl = load.ttl});
+        max_submit_s[c] = std::max(max_submit_s[c], seconds_since(fl.t0));
+        harvest(flights[c]);  // bounds the stamp error by one arrival gap
       }
-      for (auto& f : futures) (void)f.get();
+      settle(flights[c]);
     });
-  for (auto& t : clients) t.join();
-  server.shutdown();
-  return {offered_qps, policy, server.stats()};
+  for (auto& t : threads) t.join();
+  LoadResult out;
+  for (size_t c = 0; c < load.clients; ++c) {
+    ClientTally& t = out.clients.emplace_back();
+    t.client = load.first_client + c;
+    for (const Flight& fl : flights[c]) {
+      ++t.submitted;
+      if (!fl.value) {
+        ++t.errored;
+        continue;
+      }
+      ++t.completed;
+      out.latency_s.push_back(
+          std::chrono::duration<double>(fl.ready_at - fl.t0).count());
+    }
+    out.max_submit_ms = std::max(out.max_submit_ms, 1e3 * max_submit_s[c]);
+  }
+  return out;
+}
+
+/// drive() against a fresh server; returns its stats after shutdown.
+serve::ServeStats drive_fresh(std::vector<core::MtlSplitModel*> replicas,
+                              serve::ServeConfig cfg, const Load& load,
+                              LoadResult* result = nullptr) {
+  LanServer s(std::move(replicas), std::move(cfg));
+  LoadResult r = drive(s.server, load);
+  if (result) *result = std::move(r);
+  s.server.shutdown();
+  return s.server.stats();
 }
 
 /// Closed-loop saturation probe: clients re-submit the moment a future
 /// resolves, so the measured throughput is the service capacity.
 double probe_saturation_qps(std::vector<core::MtlSplitModel*> replicas) {
-  sc::Channel link({.bandwidth_bps = 1e9, .base_latency_s = 0.0002});
-  serve::ScServer server(std::move(replicas), link, sc::jetson_nano(),
-                         sc::rtx3090_server(),
-                         {.batching = {.max_batch_size = 8,
-                                       .max_wait_us = 1000}});
+  LanServer s(std::move(replicas),
+              {.batching = {.max_batch_size = 8, .max_wait_us = 1000}});
   std::vector<std::thread> clients;
   for (size_t c = 0; c < kClients; ++c)
     clients.emplace_back([&, c] {
       for (size_t k = 0; k < 40; ++k)
-        (void)server.submit(request_input(40000 + c * 100 + k),
-                            {.client_id = c})
+        (void)s.server.submit(request_input(40000 + c * 100 + k),
+                              {.client_id = c})
             .get();
     });
   for (auto& t : clients) t.join();
-  server.shutdown();
-  return server.stats().throughput_rps();
+  s.server.shutdown();
+  return s.server.stats().throughput_rps();
 }
 
-/// One open-loop run with Reject admission; records admitted-request
-/// latency percentiles and the worst submit() stall.
-void run_reject_cell(std::vector<core::MtlSplitModel*> replicas,
-                     double offered_qps, double* out_qps, double* out_p99_ms,
-                     double* max_submit_ms, int64_t* admitted,
-                     int64_t* rejected) {
-  sc::Channel link({.bandwidth_bps = 1e9, .base_latency_s = 0.0002});
-  serve::ScServer server(
-      std::move(replicas), link, sc::jetson_nano(), sc::rtx3090_server(),
-      {.batching = {.max_batch_size = 8, .max_wait_us = 1000},
-       .admission = {.policy = serve::AdmissionPolicy::kReject,
-                     .capacity = 8}});
-  std::atomic<int64_t> worst_submit_ns{0};
-  std::vector<std::thread> clients;
-  for (size_t c = 0; c < kClients; ++c)
-    clients.emplace_back([&, c] {
-      std::mt19937_64 gen(0xFACADE + c);
-      std::exponential_distribution<double> gap(offered_qps /
-                                                static_cast<double>(kClients));
-      std::vector<std::future<sc::InferenceResult>> futures;
-      auto next_arrival = std::chrono::steady_clock::now();
-      for (size_t k = 0; k < kPerClient * 2; ++k) {
-        next_arrival += std::chrono::duration_cast<
-            std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(gap(gen)));
-        std::this_thread::sleep_until(next_arrival);
-        const auto t0 = std::chrono::steady_clock::now();
-        futures.push_back(server.submit(request_input(60000 + c * 1000 + k),
-                                        {.client_id = c}));
-        const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-        int64_t seen = worst_submit_ns.load();
-        while (ns > seen && !worst_submit_ns.compare_exchange_weak(seen, ns)) {
-        }
-      }
-      for (auto& f : futures) {
-        try {
-          (void)f.get();
-        } catch (const serve::RejectedError&) {
-        }
-      }
-    });
-  for (auto& t : clients) t.join();
-  server.shutdown();
-  const serve::ServeStats s = server.stats();
-  *out_qps = offered_qps;
-  *out_p99_ms = 1e3 * s.percentile(99);
-  *max_submit_ms = 1e-6 * static_cast<double>(worst_submit_ns.load());
-  *admitted = s.completed + s.failed;
-  *rejected = s.rejected;
-}
-
-OverloadResult run_overload(core::MtlSplitModel* m0,
-                            core::MtlSplitModel* m1) {
-  OverloadResult out;
-  out.saturation_qps = probe_saturation_qps({m0, m1});
-  double ignore;
-  int64_t adm, rej;
-  // Unsaturated baseline at half saturation, same Reject configuration.
-  run_reject_cell({m0, m1}, 0.5 * out.saturation_qps, &out.unsat_qps,
-                  &out.unsat_p99_ms, &ignore, &adm, &rej);
-  // 4x saturation: the bounded queue sheds load at the door; admitted
-  // requests keep a bounded queueing delay.
-  run_reject_cell({m0, m1}, 4.0 * out.saturation_qps, &out.overload_qps,
-                  &out.overload_p99_ms, &out.max_submit_ms, &out.admitted,
-                  &out.rejected);
-  return out;
-}
-
-FairnessResult run_fairness(core::MtlSplitModel* m0) {
-  FairnessResult out;
-  constexpr size_t kVictims = 3;
-  constexpr double kVictimQps = 40.0;  // per victim client
-  constexpr double kDuration = 2.0;    // seconds of offered load
-  constexpr size_t kFloodWindow = 32;  // flooder's in-flight depth
-  out.victim_offered_qps = kVictimQps;
-  out.duration_s = kDuration;
-  out.clients.resize(kVictims + 1);
-
-  sc::Channel link({.bandwidth_bps = 1e9, .base_latency_s = 0.0002});
-  serve::ScServer server(
-      {m0}, link, sc::jetson_nano(), sc::rtx3090_server(),
-      {.batching = {.max_batch_size = 8, .max_wait_us = 1000},
-       .admission = {.policy = serve::AdmissionPolicy::kShedOldest,
-                     .capacity = 64}});
-
-  const auto t_end = std::chrono::steady_clock::now() +
-                     std::chrono::duration_cast<
-                         std::chrono::steady_clock::duration>(
-                         std::chrono::duration<double>(kDuration));
-  std::vector<std::thread> threads;
-  // Flooder: client 0, closed loop with a deep window — offered load far
-  // beyond capacity, ~10x the victims' combined rate.
-  threads.emplace_back([&] {
-    FairnessClient& me = out.clients[0];
-    me.client_id = 0;
-    me.flooder = true;
-    std::vector<std::future<sc::InferenceResult>> window;
-    uint64_t k = 0;
-    while (std::chrono::steady_clock::now() < t_end) {
-      while (window.size() < kFloodWindow &&
-             std::chrono::steady_clock::now() < t_end) {
-        window.push_back(server.submit(request_input(80000 + k++),
-                                       {.client_id = 0}));
-        ++me.submitted;
-      }
-      if (window.empty()) break;
-      try {
-        (void)window.front().get();
-        ++me.completed;
-      } catch (const serve::RejectedError&) {
-        ++me.shed_or_rejected;
-      }
-      window.erase(window.begin());
-    }
-    for (auto& f : window) {
-      try {
-        (void)f.get();
-        ++me.completed;
-      } catch (const serve::RejectedError&) {
-        ++me.shed_or_rejected;
-      }
-    }
-  });
-  // Victims: open loop at kVictimQps each.
-  for (size_t v = 1; v <= kVictims; ++v)
-    threads.emplace_back([&, v] {
-      FairnessClient& me = out.clients[v];
-      me.client_id = v;
-      std::mt19937_64 gen(0xFA1 + v);
-      std::exponential_distribution<double> gap(kVictimQps);
-      std::vector<std::future<sc::InferenceResult>> futures;
-      auto next_arrival = std::chrono::steady_clock::now();
-      uint64_t k = 0;
-      while (true) {
-        next_arrival += std::chrono::duration_cast<
-            std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(gap(gen)));
-        if (next_arrival >= t_end) break;
-        std::this_thread::sleep_until(next_arrival);
-        futures.push_back(server.submit(
-            request_input(90000 + v * 4000 + k++), {.client_id = v}));
-        ++me.submitted;
-      }
-      for (auto& f : futures) {
-        try {
-          (void)f.get();
-          ++me.completed;
-        } catch (const serve::RejectedError&) {
-          ++me.shed_or_rejected;
-        }
-      }
-    });
-  for (auto& t : threads) t.join();
-  server.shutdown();
-  return out;
-}
-
-struct DeadlineResult {
-  double offered_qps = 0.0;
-  double ttl_ms = 0.0;
-  int64_t completed_no_ttl = 0;
-  double p99_no_ttl_ms = 0.0;
-  int64_t completed_ttl = 0;
-  int64_t expired_ttl = 0;
-  double p99_ttl_ms = 0.0;
-};
-
-/// One open-loop overload run; with_ttl attaches a per-request deadline.
-serve::ServeStats run_deadline_cell(
-    std::vector<core::MtlSplitModel*> replicas, double offered_qps,
-    double ttl_ms, bool with_ttl) {
-  sc::Channel link({.bandwidth_bps = 1e9, .base_latency_s = 0.0002});
-  serve::ScServer server(std::move(replicas), link, sc::jetson_nano(),
-                         sc::rtx3090_server(),
-                         {.batching = {.max_batch_size = 8,
-                                       .max_wait_us = 1000}});
-  std::vector<std::thread> clients;
-  for (size_t c = 0; c < kClients; ++c)
-    clients.emplace_back([&, c] {
-      std::mt19937_64 gen(0xD34D + c);
-      std::exponential_distribution<double> gap(offered_qps /
-                                                static_cast<double>(kClients));
-      std::vector<std::future<sc::InferenceResult>> futures;
-      auto next_arrival = std::chrono::steady_clock::now();
-      for (size_t k = 0; k < kPerClient; ++k) {
-        next_arrival += std::chrono::duration_cast<
-            std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(gap(gen)));
-        std::this_thread::sleep_until(next_arrival);
-        serve::SubmitOptions opts{.client_id = c};
-        if (with_ttl)
-          opts.ttl = std::chrono::microseconds(
-              static_cast<int64_t>(1e3 * ttl_ms));
-        futures.push_back(
-            server.submit(request_input(110000 + c * 1000 + k), opts));
-      }
-      for (auto& f : futures) {
-        try {
-          (void)f.get();
-        } catch (const serve::DeadlineExceededError&) {
-        }
-      }
-    });
-  for (auto& t : clients) t.join();
-  server.shutdown();
-  return server.stats();
-}
-
-DeadlineResult run_deadlines(core::MtlSplitModel* m0, double saturation_qps) {
-  DeadlineResult out;
-  out.offered_qps = 2.0 * saturation_qps;
-  out.ttl_ms = 30.0;
-  // One replica on purpose: the overload has to queue somewhere for the
-  // deadline to matter.
-  const serve::ServeStats plain =
-      run_deadline_cell({m0}, out.offered_qps, out.ttl_ms, /*with_ttl=*/false);
-  out.completed_no_ttl = plain.completed;
-  out.p99_no_ttl_ms = 1e3 * plain.percentile(99);
-  const serve::ServeStats slo =
-      run_deadline_cell({m0}, out.offered_qps, out.ttl_ms, /*with_ttl=*/true);
-  out.completed_ttl = slo.completed;
-  out.expired_ttl = slo.expired;
-  out.p99_ttl_ms = 1e3 * slo.percentile(99);
-  return out;
-}
-
-struct AutoscaleBench {
-  int64_t burst = 0;
-  /// Replica parallelism only buys wall-clock on a multi-core host; the
-  /// speedup figure is meaningless without this context.
-  unsigned hardware_threads = std::thread::hardware_concurrency();
-  double static_wall_s = 0.0;      // 1 replica, no autoscaler
-  double autoscaled_wall_s = 0.0;  // min=1 max=3
-  size_t max_replicas_seen = 0;
-  int64_t scale_ups = 0;
-  int64_t scale_downs = 0;
-  size_t final_replicas = 0;
-  bool bitwise_ok = true;
-};
-
-double run_burst(serve::ScServer& server, int64_t burst,
-                 std::vector<Tensor>* inputs,
-                 std::vector<sc::InferenceResult>* results,
-                 size_t* max_seen) {
+/// Submits @p burst requests at once (request i seeded 120000 + i) and
+/// waits for all of them; returns the wall time. @p max_seen tracks the
+/// peak replica count while the burst drains.
+double run_burst(serve::ScServer& server, size_t burst,
+                 std::vector<sc::InferenceResult>* results = nullptr,
+                 size_t* max_seen = nullptr) {
   std::vector<std::future<sc::InferenceResult>> futures;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int64_t i = 0; i < burst; ++i) {
-    inputs->push_back(request_input(120000 + static_cast<uint64_t>(i)));
-    futures.push_back(server.submit(inputs->back().clone(),
-                                    {.client_id = static_cast<uint64_t>(i)}));
-  }
+  const auto t0 = Clock::now();
+  for (uint64_t i = 0; i < burst; ++i)
+    futures.push_back(server.submit(request_input(120000 + i),
+                                    {.client_id = i}));
   for (auto& f : futures) {
     if (max_seen) *max_seen = std::max(*max_seen, server.num_workers());
-    results->push_back(f.get());
+    sc::InferenceResult r = f.get();
+    if (results) results->push_back(std::move(r));
   }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
+  return seconds_since(t0);
 }
 
-AutoscaleBench run_autoscale(core::MtlSplitModel* m0,
-                             core::MtlSplitModel* ref) {
-  AutoscaleBench out;
+// ------------------------------------------------------------ scenarios
+
+Report run_bitwise(Models& m) {
+  sc::Channel ref_ch(kLan);
+  sc::ScDeployment ref(*m.ref, ref_ch, sc::jetson_nano(),
+                       sc::rtx3090_server());
+  LanServer s({m.m0.get()},
+              {.batching = {.max_batch_size = 8, .max_wait_us = 5000}});
+  std::vector<std::future<sc::InferenceResult>> futures;
+  for (uint64_t i = 0; i < 32; ++i)
+    futures.push_back(s.server.submit(request_input(90000 + i)));
+  int64_t diverged = 0;
+  for (uint64_t i = 0; i < futures.size(); ++i)
+    diverged += !same_logits(futures[i].get(),
+                             ref.infer(request_input(90000 + i)));
+  Report r;
+  r.metrics["bitwise_identical_to_sequential"] = diverged == 0;
+  r.gate("bitwise/diverged_requests", diverged, "==", 0);
+  return r;
+}
+
+Report run_load_sweep(Models& m) {
+  const std::vector<core::MtlSplitModel*> replicas = {m.m0.get(),
+                                                      m.m1.get()};
+  const serve::BatchingPolicy no_batch{.max_batch_size = 1, .max_wait_us = 0};
+  const serve::BatchingPolicy dynamic{.max_batch_size = 8,
+                                      .max_wait_us = 2000};
+  Report r;
+  r.metrics = {{"clients", kClients},
+               {"requests_per_client", kPerClient},
+               {"server_workers", replicas.size()}};
+  Json& cells = r.metrics["cells"] = Json::array();
+  for (const double qps : {100.0, 300.0, 600.0})
+    for (const serve::BatchingPolicy& policy : {no_batch, dynamic}) {
+      const serve::ServeStats s =
+          drive_fresh(replicas, {.batching = policy},
+                      {.qps = qps,
+                       .per_client = kPerClient,
+                       .arrival_seed = 0xC0FFEE,
+                       .input_seed = 7000});
+      cells.push({{"offered_qps", qps},
+                  {"policy",
+                   {{"max_batch_size", policy.max_batch_size},
+                    {"max_wait_us", policy.max_wait_us}}},
+                  {"completed", s.completed}, {"failed", s.failed},
+                  {"throughput_rps", s.throughput_rps()},
+                  {"p50_ms", 1e3 * s.percentile(50)},
+                  {"p95_ms", 1e3 * s.percentile(95)},
+                  {"p99_ms", 1e3 * s.percentile(99)},
+                  {"mean_batch_size", s.mean_batch_size()},
+                  {"wire_bytes", s.wire_bytes},
+                  {"batch_hist", Json::array(s.batch_hist)}});
+      if (qps == 600.0 && policy.max_batch_size > 1)
+        r.gate("load_sweep/dynamic_mean_batch_at_600", s.mean_batch_size(),
+               ">", 1.0);
+    }
+  return r;
+}
+
+Report run_overload(Models& m) {
+  const std::vector<core::MtlSplitModel*> replicas = {m.m0.get(),
+                                                      m.m1.get()};
+  const double saturation = probe_saturation_qps(replicas);
+  const serve::ServeConfig cfg{
+      .batching = {.max_batch_size = 8, .max_wait_us = 1000},
+      .admission = {.policy = serve::AdmissionPolicy::kReject,
+                    .capacity = 8}};
+  auto load = [&](double x_saturation) {
+    return Load{.qps = x_saturation * saturation,
+                .per_client = 2 * kPerClient,
+                .arrival_seed = 0xFACADE,
+                .input_seed = 60000};
+  };
+  // Unsaturated baseline at half saturation, then 4x saturation: the
+  // bounded queue sheds load at the door, and submit() never waits for
+  // queue space.
+  LoadResult over_load;
+  const serve::ServeStats su = drive_fresh(replicas, cfg, load(0.5));
+  const serve::ServeStats so =
+      drive_fresh(replicas, cfg, load(4.0), &over_load);
+  const double unsat_p99 = 1e3 * su.percentile(99);
+  const double over_p99 = 1e3 * so.percentile(99);
+  const int64_t admitted = so.completed + so.failed;
+  Report r;
+  r.metrics["overload"] = {
+      {"admission", "reject"}, {"saturation_qps", saturation},
+      {"unsaturated_qps", 0.5 * saturation}, {"unsaturated_p99_ms", unsat_p99},
+      {"overload_qps", 4.0 * saturation}, {"overload_p99_ms", over_p99},
+      {"p99_ratio", unsat_p99 > 0.0 ? over_p99 / unsat_p99 : 0.0},
+      {"max_submit_ms", over_load.max_submit_ms},
+      {"admitted", admitted}, {"rejected", so.rejected}};
+  r.gate("overload/exercised", so.rejected, ">", 0, /*exercise=*/true);
+  r.gate("overload/admitted_plus_rejected", admitted + so.rejected, "==",
+         over_load.sum(&ClientTally::submitted));
+  return r;
+}
+
+Report run_fairness(Models& m) {
+  constexpr size_t kVictims = 3;
+  constexpr double kVictimQps = 40.0;  // per victim client
+  constexpr std::chrono::seconds kDuration{2};  // of offered load
+  constexpr size_t kFloodWindow = 32;  // flooder's in-flight depth
+  LanServer s({m.m0.get()},
+              {.batching = {.max_batch_size = 8, .max_wait_us = 1000},
+               .admission = {.policy = serve::AdmissionPolicy::kShedOldest,
+                             .capacity = 64}});
+  const auto t_end = Clock::now() + kDuration;
+  auto tally = [](std::future<sc::InferenceResult>& f, ClientTally& t) {
+    try {
+      (void)f.get();
+      ++t.completed;
+    } catch (...) {
+      ++t.errored;
+    }
+  };
+  // Client 0 floods closed-loop with a deep window: offered load far
+  // beyond capacity, ~10x the victims' combined rate.
+  ClientTally flood;
+  std::thread flooder([&] {
+    std::deque<std::future<sc::InferenceResult>> window;
+    for (uint64_t k = 0; Clock::now() < t_end || !window.empty();) {
+      while (window.size() < kFloodWindow && Clock::now() < t_end) {
+        window.push_back(
+            s.server.submit(request_input(80000 + k++), {.client_id = 0}));
+        ++flood.submitted;
+      }
+      if (window.empty()) break;
+      tally(window.front(), flood);
+      window.pop_front();
+    }
+  });
+  const LoadResult victims =
+      drive(s.server, {.qps = kVictims * kVictimQps,
+                       .per_client = std::numeric_limits<size_t>::max(),
+                       .until = t_end,
+                       .arrival_seed = 0xFA1,
+                       .input_seed = 90000,
+                       .input_stride = 4000,
+                       .clients = kVictims,
+                       .first_client = 1});
+  flooder.join();
+  s.server.shutdown();
+
+  Report r;
+  Json clients = Json::array();
+  auto row = [&](const ClientTally& t, bool flooder_row) {
+    clients.push({{"client", t.client}, {"flooder", flooder_row},
+                  {"submitted", t.submitted}, {"completed", t.completed},
+                  {"shed_or_rejected", t.errored}});
+  };
+  row(flood, true);
+  for (const ClientTally& v : victims.clients) {
+    row(v, false);
+    r.gate("fairness/client" + std::to_string(v.client) + "_completed",
+           v.completed, "==", v.submitted);
+  }
+  r.metrics["fairness"] = {{"admission", "shed_oldest"},
+                           {"duration_s", kDuration.count()},
+                           {"victim_offered_qps", kVictimQps},
+                           {"clients", clients}};
+  return r;
+}
+
+Report run_deadlines(Models& m) {
+  constexpr double kTtlMs = 30.0;
+  constexpr size_t kCalibrationBurst = 256;
+  /// How many ttls the no-ttl backlog takes to drain.
+  constexpr double kDrainTtls = 2.0;
+  // One replica on purpose: the overload has to queue somewhere for the
+  // deadline to matter.
+  const serve::ServeConfig cfg{
+      .batching = {.max_batch_size = 8, .max_wait_us = 1000}};
+  // The replica's service rate under this config: a burst's deep backlog
+  // fills every batch, as the overload below does. Take the best of three
+  // bursts; a stall on a shared host only ever slows one down, and an
+  // underestimate would offer too little load to build the backlog.
+  double service_qps = 0.0;
+  {
+    LanServer s({m.m0.get()}, cfg);
+    for (int i = 0; i < 3; ++i)
+      service_qps = std::max(
+          service_qps,
+          kCalibrationBurst / run_burst(s.server, kCalibrationBurst));
+  }
+  // Offered at twice the service rate, n arrivals leave a backlog of n/2
+  // that takes n / (2 * service_qps) to drain: size n to kDrainTtls ttls.
+  Load load{.qps = 2.0 * service_qps,
+            .per_client = static_cast<size_t>(std::ceil(
+                2.0 * service_qps * kDrainTtls * 1e-3 * kTtlMs / kClients)),
+            .arrival_seed = 0xD34D,
+            .input_seed = 110000};
+  const serve::ServeStats plain = drive_fresh({m.m0.get()}, cfg, load);
+  load.ttl = std::chrono::microseconds(static_cast<int64_t>(1e3 * kTtlMs));
+  LoadResult ttl_load;
+  const serve::ServeStats ttl =
+      drive_fresh({m.m0.get()}, cfg, load, &ttl_load);
+  const double p99_plain = 1e3 * plain.percentile(99);
+  const double p99_ttl = 1e3 * ttl.percentile(99);
+  Report r;
+  r.metrics["deadlines"] = {
+      {"offered_qps", load.qps},
+      {"ttl_ms", kTtlMs},
+      {"no_ttl", {{"completed", plain.completed}, {"p99_ms", p99_plain}}},
+      {"ttl",
+       {{"completed", ttl.completed}, {"expired", ttl.expired},
+        {"p99_ms", p99_ttl}}}};
+  r.gate("deadlines/exercised", p99_plain, ">", kTtlMs, /*exercise=*/true);
+  r.gate("deadlines/ttl_expired", ttl.expired, ">=", 1);
+  r.gate("deadlines/ttl_completed_plus_expired", ttl.completed + ttl.expired,
+         "==", ttl_load.sum(&ClientTally::submitted));
+  r.gate("deadlines/ttl_p99_ms", p99_ttl, "<", p99_plain);
+  return r;
+}
+
+Report run_autoscale(Models& m) {
+  constexpr size_t kBurst = 256;
   // Per-request service (no coalescing) on a single-lane runtime: each
   // worker's kernels run serially, so capacity scales with replicas and
   // the burst isolates what the autoscaler buys (with the default pool a
   // lone replica already spreads every kernel across all cores).
   runtime::set_num_threads(1);
-  out.burst = 256;
-  std::vector<Tensor> inputs_static;
-  std::vector<sc::InferenceResult> res_static;
+  const serve::BatchingPolicy per_request{.max_batch_size = 1,
+                                          .max_wait_us = 0};
+  double static_wall_s = 0.0;
   {
-    sc::Channel link({.bandwidth_bps = 1e9, .base_latency_s = 0.0002});
-    serve::ScServer server({m0}, link, sc::jetson_nano(), sc::rtx3090_server(),
-                           {.batching = {.max_batch_size = 1,
-                                         .max_wait_us = 0}});
-    out.static_wall_s =
-        run_burst(server, out.burst, &inputs_static, &res_static, nullptr);
-    server.shutdown();
+    LanServer s({m.m0.get()}, {.batching = per_request});
+    static_wall_s = run_burst(s.server, kBurst);
+    s.server.shutdown();
   }
-  std::vector<Tensor> inputs_auto;
-  std::vector<sc::InferenceResult> res_auto;
-  {
-    sc::Channel link({.bandwidth_bps = 1e9, .base_latency_s = 0.0002});
-    serve::ServeConfig cfg;
-    cfg.batching = {.max_batch_size = 1, .max_wait_us = 0};
-    cfg.autoscale = {.enabled = true,
-                     .min_replicas = 1,
-                     .max_replicas = 3,
-                     .scale_up_backlog = 4.0,
-                     .scale_down_backlog = 0.5,
-                     .interval_us = 5000,
-                     .hysteresis_ticks = 2,
-                     .make_replica = [] { return make_replica(77); }};
-    serve::ScServer server({m0}, link, sc::jetson_nano(), sc::rtx3090_server(),
-                           cfg);
-    out.autoscaled_wall_s = run_burst(server, out.burst, &inputs_auto,
-                                      &res_auto, &out.max_replicas_seen);
-    // Give the controller a moment to retire the burst capacity.
-    for (int t = 0; t < 400 && server.num_workers() > 1; ++t)
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    out.final_replicas = server.num_workers();
-    server.shutdown();
-    const serve::ServeStats s = server.stats();
-    out.scale_ups = s.scale_ups;
-    out.scale_downs = s.scale_downs;
-  }
+  serve::ServeConfig cfg{.batching = per_request};
+  cfg.autoscale = {.enabled = true,
+                   .min_replicas = 1,
+                   .max_replicas = 3,
+                   .scale_up_backlog = 4.0,
+                   .scale_down_backlog = 0.5,
+                   .interval_us = 5000,
+                   .hysteresis_ticks = 2,
+                   .make_replica = [] { return make_replica(77); }};
+  std::vector<sc::InferenceResult> results;
+  size_t max_seen = 0;
+  LanServer s({m.m0.get()}, cfg);
+  const double autoscaled_wall_s =
+      run_burst(s.server, kBurst, &results, &max_seen);
+  // Give the controller a moment to retire the burst capacity.
+  for (int t = 0;
+       t < 400 && s.server.num_workers() > cfg.autoscale.min_replicas; ++t)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const size_t final_replicas = s.server.num_workers();
+  s.server.shutdown();
+  const serve::ServeStats st = s.server.stats();
   runtime::set_num_threads(runtime::default_num_threads());
   // Autoscaled results (some served by minted replicas) must match the
   // sequential reference bit for bit.
-  sc::Channel ref_ch({.bandwidth_bps = 1e9, .base_latency_s = 0.0002});
-  sc::ScDeployment ref_dep(*ref, ref_ch, sc::jetson_nano(),
-                           sc::rtx3090_server());
-  for (size_t i = 0; i < inputs_auto.size() && out.bitwise_ok; ++i) {
-    const sc::InferenceResult want = ref_dep.infer(inputs_auto[i]);
-    for (size_t j = 0; j < want.logits.size(); ++j)
-      if (!res_auto[i].logits[j].equals(want.logits[j]))
-        out.bitwise_ok = false;
-  }
-  return out;
+  sc::Channel ref_ch(kLan);
+  sc::ScDeployment ref(*m.ref, ref_ch, sc::jetson_nano(),
+                       sc::rtx3090_server());
+  int64_t diverged = 0;
+  for (uint64_t i = 0; i < results.size(); ++i)
+    diverged += !same_logits(results[i], ref.infer(request_input(120000 + i)));
+  Report r;
+  r.metrics["autoscale"] = {
+      {"burst", kBurst},
+      // Replica parallelism only buys wall-clock on a multi-core host; the
+      // speedup figure is meaningless without this context.
+      {"hardware_threads", std::thread::hardware_concurrency()},
+      {"static_wall_s", static_wall_s},
+      {"autoscaled_wall_s", autoscaled_wall_s},
+      {"speedup",
+       autoscaled_wall_s > 0.0 ? static_wall_s / autoscaled_wall_s : 0.0},
+      {"max_replicas_seen", max_seen},
+      {"scale_ups", st.scale_ups}, {"scale_downs", st.scale_downs},
+      {"final_replicas", final_replicas},
+      {"bitwise_identical_to_sequential", diverged == 0}};
+  r.gate("autoscale/diverged_requests", diverged, "==", 0);
+  r.gate("autoscale/scale_ups", st.scale_ups, ">=", 1);
+  r.gate("autoscale/max_replicas_seen", max_seen, "<=",
+         cfg.autoscale.max_replicas);
+  r.gate("autoscale/final_replicas", final_replicas, "==",
+         cfg.autoscale.min_replicas);
+  return r;
 }
 
-// --------------------------------------------------------- slo scenario
+// ------------------------------------------------------------------ wire
+
+constexpr int64_t kWireImage = 48;  // VGG edge: Z_b = 2304 ReLU'd floats
+constexpr size_t kWireRequests = 32;
+/// The packetised link under every wire cell; each cell sets its loss
+/// rate and FEC group.
+const sc::LinkModel kWireLink{
+    .mtu_bytes = 256, .jitter_s = 0.0001, .max_retransmits = 8};
+
+/// FEC overhead knob of one sweep cell: parity / data packet rate. 0
+/// disables FEC; 1/8 maps to G=8 P=1, 1/4 to G=8 P=2.
+struct FecRate {
+  double overhead = 0.0;
+  int64_t fec_data = 0;
+  int64_t fec_parity = 0;
+};
+constexpr FecRate kFecRates[] = {
+    {0.0, 0, 0}, {1.0 / 8.0, 8, 1}, {1.0 / 4.0, 8, 2}};
+
+Report run_wire(Models&) {
+  // A ReLU-tail backbone: the bottleneck is ~half exact zeros, the sparse
+  // payload class the entropy codec is specialised for.
+  auto model = make_replica(11, models::BackboneKind::kVgg16, kWireImage);
+  // Clean sequential reference: same int8 encoding, no codec, no loss —
+  // the codec is lossless and loss is repaired below the quantise
+  // boundary, so served logits must match this bit for bit. The served
+  // model doubles as the reference: the loop below runs strictly before
+  // any server exists, and eval-mode forward never writes parameters.
+  std::vector<sc::InferenceResult> want;
+  {
+    sc::Channel ref_ch({.bandwidth_bps = 1e9});
+    sc::ScDeployment ref(*model, ref_ch, sc::jetson_nano(),
+                         sc::rtx3090_server(),
+                         {.encoding = sc::ZbEncoding::kInt8});
+    for (uint64_t i = 0; i < kWireRequests; ++i)
+      want.push_back(ref.infer(request_input(200000 + i, kWireImage)));
+  }
+  Report r;
+  Json& w = r.metrics["wire"] = {
+      {"backbone", "vgg16-edge"}, {"image", kWireImage}, {"encoding", "int8"},
+      {"mtu_bytes", kWireLink.mtu_bytes},
+      {"max_retransmits", kWireLink.max_retransmits}};
+  Json& cells = w["cells"] = Json::array();
+  int64_t unsettled = 0, diverged_cells = 0, undelivered = 0;
+  int64_t fec1_retransmits = 0, fec1_repaired = 0;
+  double max_codec_ratio = 0.0, clean_fec_goodput = 0.0, clean_goodput = 0.0;
+  double bare_retransmits = std::numeric_limits<double>::infinity();
+  // One burst of int8 requests through a packetised lossy link; returns
+  // the cell's goodput.
+  auto cell = [&](bool codec, double loss_pct, const FecRate& fec) {
+    sc::ChannelConfig link_cfg{
+        .bandwidth_bps = 1e8, .base_latency_s = 0.0002,
+        .seed = 1234 + static_cast<uint64_t>(loss_pct * 100),
+        .link = kWireLink};
+    link_cfg.link.loss_prob = static_cast<float>(loss_pct / 100.0);
+    link_cfg.link.fec_data = fec.fec_data;
+    link_cfg.link.fec_parity = fec.fec_parity;
+    sc::Channel link(link_cfg);
+    serve::ScServer server(
+        {model.get()}, link, sc::jetson_nano(), sc::rtx3090_server(),
+        {.batching = {.max_batch_size = 4, .max_wait_us = 1000},
+         .deployment = {.encoding = sc::ZbEncoding::kInt8,
+                        .codec = codec ? sc::WireCodec::kEntropy
+                                       : sc::WireCodec::kRaw}});
+    std::vector<std::future<sc::InferenceResult>> futures;
+    for (uint64_t i = 0; i < kWireRequests; ++i)
+      futures.push_back(server.submit(request_input(200000 + i, kWireImage),
+                                      {.client_id = i % 4}));
+    int64_t settled = 0;
+    bool bitwise = true;
+    for (size_t i = 0; i < futures.size(); ++i) {
+      try {
+        bitwise = same_logits(futures[i].get(), want[i]) && bitwise;
+      } catch (const std::invalid_argument&) {
+        // A typed wire failure still settles exactly once.
+      }
+      ++settled;
+    }
+    server.shutdown();
+    const serve::ServeStats s = server.stats();
+    const double ratio = s.wire_bytes_raw > 0
+                             ? static_cast<double>(s.wire_bytes) /
+                                   static_cast<double>(s.wire_bytes_raw)
+                             : 0.0;
+    cells.push({{"codec", codec}, {"loss_pct", loss_pct},
+                {"fec_overhead", fec.overhead}, {"fec_data", fec.fec_data},
+                {"fec_parity", fec.fec_parity},
+                {"submitted", kWireRequests}, {"settled", settled},
+                {"completed", s.completed}, {"failed", s.failed},
+                {"wire_bytes_raw", s.wire_bytes_raw},
+                {"wire_bytes", s.wire_bytes}, {"compression_ratio", ratio},
+                {"retransmits", s.retransmits},
+                {"fec_repaired", s.fec_repaired},
+                {"undelivered", s.undelivered},
+                {"goodput_bytes_s", s.goodput_bytes_s()},
+                {"window", s.link_window},
+                {"p99_ms", 1e3 * s.percentile(99)}, {"bitwise", bitwise}});
+    unsettled += static_cast<int64_t>(kWireRequests) - settled;
+    diverged_cells += !bitwise;
+    undelivered += s.undelivered;
+    if (codec) max_codec_ratio = std::max(max_codec_ratio, ratio);
+    if (loss_pct >= 5.0 && fec.fec_parity == 0)
+      bare_retransmits =
+          std::min(bare_retransmits, static_cast<double>(s.retransmits));
+    if (codec && loss_pct == 1.0 && fec.fec_parity == 1) {
+      fec1_retransmits = s.retransmits;
+      fec1_repaired = s.fec_repaired;
+    }
+    if (codec && loss_pct == 0.0) {
+      double& slot = fec.fec_parity > 0 ? clean_fec_goodput : clean_goodput;
+      slot = std::max(slot, s.goodput_bytes_s());
+    }
+    return s.goodput_bytes_s();
+  };
+  // The production-path sweep: codec on, loss x FEC overhead. Two
+  // codec-off baselines ride along so the raw-vs-coded comparison stays
+  // in the report.
+  for (const double loss : {0.0, 5.0}) cell(false, loss, kFecRates[0]);
+  // Repair-vs-retransmit crossover: per loss rate, the FEC overhead that
+  // maximised goodput, and the first loss rate where parity beat none.
+  Json by_loss = Json::array();
+  double first_win = -1.0;
+  for (const double loss : {0.0, 1.0, 5.0, 10.0}) {
+    double best_goodput = -1.0, best = 0.0;
+    for (const FecRate& fec : kFecRates) {
+      const double goodput = cell(true, loss, fec);
+      if (goodput > best_goodput) {
+        best_goodput = goodput;
+        best = fec.overhead;
+      }
+    }
+    by_loss.push({{"loss_pct", loss}, {"best_overhead", best}});
+    if (best > 0.0 && first_win < 0.0) first_win = loss;
+  }
+  w["crossover"] = {{"best_overhead_by_loss", by_loss},
+                    {"first_loss_pct_where_fec_wins", first_win}};
+
+  r.gate("wire/unsettled_futures", unsettled, "==", 0);
+  r.gate("wire/diverged_cells", diverged_cells, "==", 0);
+  r.gate("wire/codec_ratio_max", max_codec_ratio, "<=", 0.6);
+  // Hundreds of packets cross per cell: at >= 5% loss a bare link must
+  // visibly retransmit.
+  r.gate("wire/bare_link_retransmits_min", bare_retransmits, ">", 0,
+         /*exercise=*/true);
+  // Zero-RTT repair: at 1% loss the 1/8-rate parity absorbs every erasure
+  // receiver-side. Packets were lost (repairs happened), yet not one
+  // retransmit round trip ran.
+  r.gate("wire/fec_1pct_repaired", fec1_repaired, ">", 0, /*exercise=*/true);
+  r.gate("wire/fec_1pct_retransmits", fec1_retransmits, "==", 0);
+  // Nothing in the sweep may leave an erasure standing: FEC or the
+  // retransmit budget repairs everything at these loss rates.
+  r.gate("wire/undelivered", undelivered, "==", 0);
+  // On a clean link parity is pure overhead: goodput must be maximal at
+  // FEC off (the crossover's left edge).
+  r.gate("wire/clean_link_fec_goodput", clean_fec_goodput, "<",
+         clean_goodput);
+  w["ok"] = r.ok();
+  return r;
+}
+
+// ------------------------------------------------------------------- slo
 
 constexpr double kSloStageSeconds = 1.5;
 /// Deep enough that a full queue's drain time (depth / saturation rate)
 /// sits far beyond the 3x-calibration SLO target — the static knob has
 /// no way to hold the tail once the ramp saturates the replica.
-constexpr int64_t kSloStaticDepth = 512;
+constexpr size_t kSloStaticDepth = 512;
 
-struct SloStage {
-  double offered_qps = 0.0;
-  int64_t completed = 0;
-  int64_t errored = 0;  // rejected at admission
-  double p99_ms = 0.0;  // client-observed, completed requests only
-};
-
-struct SloCurve {
-  std::vector<SloStage> stages;
-  int64_t ticks = 0;
-  int64_t violations = 0;
-  double final_depth_cap = 0.0;
-};
-
-struct SloBench {
-  double saturation_qps = 0.0;
-  double calib_p99_ms = 0.0;   // unsaturated p99 under the static config
-  double target_p99_ms = 0.0;  // 4x the calibration baseline
-  std::vector<double> ramp = {0.6, 1.6, 3.0};  // x saturation
-  SloCurve fixed;     // static capacity-64 knob all the way up the ramp
-  SloCurve adaptive;  // SloController driving the same knob
-  bool static_violates = false;   // final stage: static p99 > target
-  bool controller_holds = false;  // final stage: controller p99 <= target
-  bool ok = false;
-};
-
-double client_p99_s(std::vector<double>& lat) {
-  if (lat.empty()) return 0.0;
-  std::sort(lat.begin(), lat.end());
-  return lat[(lat.size() - 1) * 99 / 100];
-}
-
-/// One ramp stage against a live server: kClients open-loop Poisson
-/// clients at offered_qps for ~kSloStageSeconds. Latency is measured
-/// client-side by polling futures — a blocking in-order harvest would
-/// time earlier completions against a later get() and inflate the tail.
-SloStage run_slo_stage(serve::ScServer& server, double offered_qps,
-                       uint64_t seed_base) {
-  SloStage out;
-  out.offered_qps = offered_qps;
-  const size_t per_client = std::max<size_t>(
-      16, static_cast<size_t>(offered_qps * kSloStageSeconds /
-                              static_cast<double>(kClients)));
-  std::mutex mu;
-  std::vector<double> latencies;
-  std::vector<std::thread> clients;
-  for (size_t c = 0; c < kClients; ++c)
-    clients.emplace_back([&, c] {
-      struct Pending {
-        std::chrono::steady_clock::time_point t0;
-        std::future<sc::InferenceResult> f;
-      };
-      std::mt19937_64 gen(seed_base + c);
-      std::exponential_distribution<double> gap(offered_qps /
-                                                static_cast<double>(kClients));
-      std::vector<Pending> pending;
-      std::vector<double> mine;
-      int64_t errored = 0;
-      auto sweep = [&] {
-        for (auto it = pending.begin(); it != pending.end();) {
-          if (it->f.wait_for(std::chrono::seconds(0)) !=
-              std::future_status::ready) {
-            ++it;
-            continue;
-          }
-          const double lat = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - it->t0)
-                                 .count();
-          try {
-            (void)it->f.get();
-            mine.push_back(lat);
-          } catch (const serve::RejectedError&) {
-            ++errored;
-          }
-          it = pending.erase(it);
-        }
-      };
-      auto next_arrival = std::chrono::steady_clock::now();
-      for (size_t k = 0; k < per_client; ++k) {
-        next_arrival += std::chrono::duration_cast<
-            std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(gap(gen)));
-        std::this_thread::sleep_until(next_arrival);
-        pending.push_back(
-            {std::chrono::steady_clock::now(),
-             server.submit(request_input(seed_base * 131 + c * 4096 + k),
-                           {.client_id = c})});
-        sweep();  // bounds the timestamp error by one inter-arrival gap
-      }
-      while (!pending.empty()) {
-        sweep();
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-      std::lock_guard<std::mutex> lk(mu);
-      latencies.insert(latencies.end(), mine.begin(), mine.end());
-      out.errored += errored;
-    });
-  for (auto& t : clients) t.join();
-  out.completed = static_cast<int64_t>(latencies.size());
-  out.p99_ms = 1e3 * client_p99_s(latencies);
-  return out;
-}
-
-/// Runs the whole ramp against one server so the controller's state (and
-/// the static queue's backlog) carries across stage boundaries.
-SloCurve run_slo_curve(core::MtlSplitModel* m0,
-                       const std::vector<double>& stage_qps, double target_s,
-                       bool controller) {
-  SloCurve out;
-  sc::Channel link({.bandwidth_bps = 1e9, .base_latency_s = 0.0002});
-  serve::ServeConfig cfg;
-  cfg.batching = {.max_batch_size = 8, .max_wait_us = 1000};
-  cfg.admission = {.policy = serve::AdmissionPolicy::kReject,
-                   .capacity = kSloStaticDepth};
-  if (controller)
+/// The slo scenario's server: a deep Reject queue; with @p target_s > 0
+/// the SloController drives its depth.
+serve::ServeConfig slo_config(double target_s) {
+  serve::ServeConfig cfg{
+      .batching = {.max_batch_size = 8, .max_wait_us = 1000},
+      .admission = {.policy = serve::AdmissionPolicy::kReject,
+                    .capacity = kSloStaticDepth}};
+  if (target_s > 0.0)
     cfg.slo = {.enabled = true,
                // Control to 60% of the reported SLO: AIMD regulates each
                // window's p99 up against its configured target, so the
@@ -628,263 +775,85 @@ SloCurve run_slo_curve(core::MtlSplitModel* m0,
                .interval_us = 50000,
                .min_window_samples = 4,
                .min_depth = 2};
-  serve::ScServer server({m0}, link, sc::jetson_nano(), sc::rtx3090_server(),
-                         cfg);
-  for (size_t i = 0; i < stage_qps.size(); ++i)
-    out.stages.push_back(run_slo_stage(
-        server, stage_qps[i],
-        0x510000 + 10000 * i + (controller ? 5000 : 0)));
-  server.shutdown();
-  if (controller) {
-    const telemetry::Registry& tree = server.telemetry_tree();
-    out.ticks = tree.counter_value("serve/slo/ticks");
-    out.violations = tree.counter_value("serve/slo/violations");
-    out.final_depth_cap = tree.gauge_value("serve/slo/depth_cap");
-  }
-  return out;
+  return cfg;
 }
 
-SloBench run_slo(core::MtlSplitModel* m0) {
-  SloBench out;
-  out.saturation_qps = probe_saturation_qps({m0});
+/// Runs a whole ramp against one server, so the controller's state (and
+/// the static queue's backlog) carries across stage boundaries. Stage
+/// latencies are client-observed.
+Json run_slo_curve(core::MtlSplitModel* m0,
+                   const std::vector<double>& stage_qps, double target_s) {
+  LanServer s({m0}, slo_config(target_s));
+  Json stages = Json::array();
+  for (size_t i = 0; i < stage_qps.size(); ++i) {
+    const uint64_t seed = 0x510000 + 10000 * i + (target_s > 0.0 ? 5000 : 0);
+    const LoadResult l = drive(
+        s.server,
+        {.qps = stage_qps[i],
+         .per_client = std::max<size_t>(
+             16, static_cast<size_t>(stage_qps[i] * kSloStageSeconds /
+                                     static_cast<double>(kClients))),
+         .arrival_seed = seed,
+         .input_seed = seed * 131,
+         .input_stride = 4096});
+    stages.push({{"offered_qps", stage_qps[i]},
+                 {"completed", l.sum(&ClientTally::completed)},
+                 {"rejected", l.sum(&ClientTally::errored)},
+                 {"p99_ms", p99_ms(l.latency_s)}});
+  }
+  s.server.shutdown();
+  Json curve{{"stages", stages}};
+  if (target_s > 0.0) {
+    const telemetry::Registry& tree = s.server.telemetry_tree();
+    curve["ticks"] = tree.counter_value("serve/slo/ticks");
+    curve["violations"] = tree.counter_value("serve/slo/violations");
+    curve["final_depth_cap"] = tree.gauge_value("serve/slo/depth_cap");
+  }
+  return curve;
+}
+
+Report run_slo(Models& m) {
+  core::MtlSplitModel* m0 = m.m0.get();
+  const double saturation = probe_saturation_qps({m0});
   // Calibrate the achievable tail: one unsaturated stage under the exact
   // static config. The SLO target is 3x that — generous headroom, yet far
   // below the ~depth/saturation queueing delay a full static queue adds.
-  SloCurve calib = run_slo_curve(m0, {0.5 * out.saturation_qps}, 0.0, false);
-  out.calib_p99_ms = calib.stages[0].p99_ms;
-  out.target_p99_ms = std::max(3.0 * out.calib_p99_ms, 10.0);
+  const double calib_p99_ms = run_slo_curve(m0, {0.5 * saturation}, 0.0)
+                                  .at("stages").back().at("p99_ms").num();
+  const double target_ms = std::max(3.0 * calib_p99_ms, 10.0);
+  const std::vector<double> ramp = {0.6, 1.6, 3.0};  // x saturation
   std::vector<double> stage_qps;
-  for (double x : out.ramp) stage_qps.push_back(x * out.saturation_qps);
-  out.fixed = run_slo_curve(m0, stage_qps, 0.0, false);
-  out.adaptive =
-      run_slo_curve(m0, stage_qps, 1e-3 * out.target_p99_ms, true);
-  const SloStage& sf = out.fixed.stages.back();
-  const SloStage& sa = out.adaptive.stages.back();
-  out.static_violates = sf.p99_ms > out.target_p99_ms;
-  out.controller_holds =
-      sa.completed > 0 && sa.p99_ms <= out.target_p99_ms;
-  out.ok = out.static_violates && out.controller_holds &&
-           out.adaptive.ticks > 0 && out.adaptive.violations > 0;
-  return out;
+  for (const double x : ramp) stage_qps.push_back(x * saturation);
+  const Json fixed = run_slo_curve(m0, stage_qps, 0.0);
+  const Json controller = run_slo_curve(m0, stage_qps, 1e-3 * target_ms);
+  // Only the final stage is gated: the static knob must miss the target
+  // there, and the controller must hold it.
+  const Json& sf = fixed.at("stages").back();
+  const Json& sa = controller.at("stages").back();
+  Report r;
+  r.gate("slo/static_final_p99_ms", sf.at("p99_ms").num(), ">", target_ms,
+         /*exercise=*/true);
+  r.gate("slo/controller_final_completed", sa.at("completed").num(), ">", 0);
+  r.gate("slo/controller_final_p99_ms", sa.at("p99_ms").num(), "<=",
+         target_ms);
+  r.gate("slo/controller_ticks", controller.at("ticks").num(), ">", 0);
+  r.gate("slo/controller_violations", controller.at("violations").num(), ">",
+         0);
+  r.metrics["slo"] = {
+      {"admission", "reject"},
+      {"static_capacity", slo_config(0.0).admission.capacity},
+      {"min_depth", slo_config(1e-3 * target_ms).slo.min_depth},
+      {"saturation_qps", saturation}, {"calibration_p99_ms", calib_p99_ms},
+      {"target_p99_ms", target_ms}, {"ramp_x_saturation", Json::array(ramp)},
+      {"static", fixed}, {"controller", controller},
+      {"static_violates_final_stage", r.gates[0].passed()},
+      {"controller_holds_final_stage",
+       r.gates[1].passed() && r.gates[2].passed()},
+      {"ok", r.ok()}};
+  return r;
 }
 
-// -------------------------------------------------------- wire scenario
-
-constexpr int64_t kWireImage = 48;  // VGG edge: Z_b = 2304 ReLU'd floats
-constexpr size_t kWireRequests = 32;
-
-std::unique_ptr<core::MtlSplitModel> make_wire_replica(uint64_t seed) {
-  Rng rng(seed);
-  core::ModelFactoryConfig cfg;
-  // A ReLU-tail backbone: the bottleneck is ~half exact zeros, the
-  // sparse payload class the entropy codec is specialised for.
-  cfg.backbone = models::BackboneKind::kVgg16;
-  cfg.image_shape = {3, kWireImage, kWireImage};
-  auto m = core::make_mtl_model(cfg, {{"scale", 8}, {"shape", 4}}, rng);
-  m->set_training(false);
-  return m;
-}
-
-Tensor wire_input(uint64_t seed) {
-  Rng rng(seed);
-  Tensor x({1, 3, kWireImage, kWireImage});
-  rng.fill_uniform(x, 0.0f, 1.0f);
-  return x;
-}
-
-/// FEC overhead knob of one sweep cell: parity / data packet rate. 0
-/// disables FEC; 1/8 maps to G=8 P=1, 1/4 to G=8 P=2.
-struct FecRate {
-  double overhead = 0.0;
-  int64_t fec_data = 0;
-  int64_t fec_parity = 0;
-};
-constexpr FecRate kFecRates[] = {
-    {0.0, 0, 0}, {1.0 / 8.0, 8, 1}, {1.0 / 4.0, 8, 2}};
-
-struct WireCell {
-  bool codec = false;
-  double loss_pct = 0.0;
-  FecRate fec;
-  serve::ServeStats stats;
-  int64_t submitted = 0;
-  int64_t settled = 0;  // futures that resolved (value or typed error)
-  bool bitwise = true;  // survivors == sequential infer() bit for bit
-  double ratio() const {
-    return stats.wire_bytes_raw > 0
-               ? static_cast<double>(stats.wire_bytes) /
-                     static_cast<double>(stats.wire_bytes_raw)
-               : 0.0;
-  }
-};
-
-/// One burst of int8 requests through a packetised lossy link; @p want
-/// holds the clean sequential reference results (identical inputs per
-/// cell, so they are computed once for the whole scenario).
-WireCell run_wire_cell(core::MtlSplitModel* model,
-                       const std::vector<sc::InferenceResult>& want,
-                       bool codec, double loss_pct, const FecRate& fec) {
-  WireCell out;
-  out.codec = codec;
-  out.loss_pct = loss_pct;
-  out.fec = fec;
-  sc::Channel link({.bandwidth_bps = 1e8,
-                    .base_latency_s = 0.0002,
-                    .seed = 1234 + static_cast<uint64_t>(loss_pct * 100),
-                    .link = {.mtu_bytes = 256,
-                             .loss_prob = static_cast<float>(loss_pct / 100.0),
-                             .jitter_s = 0.0001,
-                             .max_retransmits = 8,
-                             .fec_data = fec.fec_data,
-                             .fec_parity = fec.fec_parity}});
-  serve::ScServer server(
-      {model}, link, sc::jetson_nano(), sc::rtx3090_server(),
-      {.batching = {.max_batch_size = 4, .max_wait_us = 1000},
-       .deployment = {.encoding = sc::ZbEncoding::kInt8,
-                      .codec = codec ? sc::WireCodec::kEntropy
-                                     : sc::WireCodec::kRaw}});
-  std::vector<Tensor> inputs;
-  std::vector<std::future<sc::InferenceResult>> futures;
-  for (size_t i = 0; i < kWireRequests; ++i) {
-    inputs.push_back(wire_input(200000 + i));
-    futures.push_back(server.submit(inputs.back(),
-                                    {.client_id = i % 4}));
-    ++out.submitted;
-  }
-  for (size_t i = 0; i < futures.size(); ++i) {
-    try {
-      const sc::InferenceResult got = futures[i].get();
-      ++out.settled;
-      for (size_t j = 0; j < want[i].logits.size(); ++j)
-        if (!got.logits[j].equals(want[i].logits[j])) out.bitwise = false;
-    } catch (const std::invalid_argument&) {
-      ++out.settled;  // typed wire failure still settles exactly once
-    }
-  }
-  server.shutdown();
-  out.stats = server.stats();
-  return out;
-}
-
-std::vector<WireCell> run_wire_scenario(bool* wire_ok) {
-  auto model = make_wire_replica(11);
-  // Clean sequential reference: same int8 encoding, no codec, no loss —
-  // the codec is lossless and loss is repaired below the quantise
-  // boundary, so served logits must match this bit for bit. The served
-  // model doubles as the reference: the loop below runs strictly before
-  // any server exists, and eval-mode forward never writes parameters.
-  sc::Channel ref_ch({.bandwidth_bps = 1e9});
-  sc::ScDeployment ref(*model, ref_ch, sc::jetson_nano(),
-                       sc::rtx3090_server(),
-                       {.encoding = sc::ZbEncoding::kInt8});
-  std::vector<sc::InferenceResult> want;
-  want.reserve(kWireRequests);
-  for (size_t i = 0; i < kWireRequests; ++i)
-    want.push_back(ref.infer(wire_input(200000 + i)));
-  // The production-path sweep: codec on, loss x FEC overhead. Two
-  // codec-off baselines ride along so the raw-vs-coded comparison stays
-  // in the report.
-  std::vector<WireCell> cells;
-  for (const double loss : {0.0, 5.0})
-    cells.push_back(run_wire_cell(model.get(), want, false, loss,
-                                  kFecRates[0]));
-  for (const double loss : {0.0, 1.0, 5.0, 10.0})
-    for (const FecRate& fec : kFecRates)
-      cells.push_back(run_wire_cell(model.get(), want, true, loss, fec));
-  *wire_ok = true;
-  const WireCell* clean_nofec = nullptr;
-  for (const WireCell& c : cells) {
-    if (c.settled != c.submitted || !c.bitwise) *wire_ok = false;
-    if (c.codec && c.ratio() > 0.6) *wire_ok = false;
-    // Hundreds of packets cross per cell: at >= 5% loss a bare link must
-    // visibly retransmit.
-    if (c.loss_pct >= 5.0 && c.fec.fec_parity == 0 &&
-        c.stats.retransmits == 0)
-      *wire_ok = false;
-    // The zero-RTT claim, as a hard gate: at 1% loss the 1/8-rate parity
-    // absorbs every erasure receiver-side — packets were genuinely lost
-    // (repairs happened) yet not one retransmit round trip ran.
-    if (c.codec && c.loss_pct == 1.0 && c.fec.fec_parity == 1 &&
-        (c.stats.retransmits != 0 || c.stats.fec_repaired == 0))
-      *wire_ok = false;
-    // Nothing in the sweep may leave an erasure standing: FEC or the
-    // retransmit budget repairs everything at these loss rates.
-    if (c.stats.undelivered != 0) *wire_ok = false;
-    if (c.codec && c.loss_pct == 0.0 && c.fec.fec_parity == 0)
-      clean_nofec = &c;
-  }
-  // On a clean link parity is pure overhead: goodput must be maximal at
-  // FEC off (the crossover's left edge).
-  if (clean_nofec) {
-    for (const WireCell& c : cells)
-      if (c.codec && c.loss_pct == 0.0 && c.fec.fec_parity > 0 &&
-          c.stats.goodput_bytes_s() >= clean_nofec->stats.goodput_bytes_s())
-        *wire_ok = false;
-  }
-  return cells;
-}
-
-/// Best FEC overhead (by goodput) among this loss rate's codec-on cells —
-/// the repair-vs-retransmit crossover the JSON records per loss rate.
-double best_overhead_at(const std::vector<WireCell>& cells, double loss) {
-  double best_goodput = -1.0, best = 0.0;
-  for (const WireCell& c : cells)
-    if (c.codec && c.loss_pct == loss &&
-        c.stats.goodput_bytes_s() > best_goodput) {
-      best_goodput = c.stats.goodput_bytes_s();
-      best = c.fec.overhead;
-    }
-  return best;
-}
-
-/// Served outputs must match per-request sequential infer() bit for bit,
-/// whatever batches the dynamic batcher happened to form.
-bool bitwise_identity_check(core::MtlSplitModel& served_model,
-                            core::MtlSplitModel& ref_model) {
-  sc::Channel ref_ch({.bandwidth_bps = 1e9, .base_latency_s = 0.0002});
-  sc::ScDeployment ref(ref_model, ref_ch, sc::jetson_nano(),
-                       sc::rtx3090_server());
-  sc::Channel link({.bandwidth_bps = 1e9, .base_latency_s = 0.0002});
-  serve::ScServer server({&served_model}, link, sc::jetson_nano(),
-                         sc::rtx3090_server(),
-                         {.batching = {.max_batch_size = 8,
-                                       .max_wait_us = 5000}});
-  std::vector<Tensor> inputs;
-  std::vector<std::future<sc::InferenceResult>> futures;
-  for (uint64_t i = 0; i < 32; ++i) {
-    inputs.push_back(request_input(90000 + i));
-    futures.push_back(server.submit(inputs.back()));
-  }
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    const sc::InferenceResult got = futures[i].get();
-    const sc::InferenceResult want = ref.infer(inputs[i]);
-    for (size_t j = 0; j < want.logits.size(); ++j)
-      if (!got.logits[j].equals(want.logits[j])) return false;
-  }
-  return true;
-}
-
-// ------------------------------------------------------- fleet scenario
-
-struct FleetDrillResult {
-  size_t nodes = 3;
-  size_t victim = 0;
-  int64_t submitted = 0;
-  int64_t settled_value = 0;
-  int64_t settled_error = 0;
-  int64_t lost = 0;  // futures that never settled — the hard gate
-  int64_t failovers = 0;
-  int64_t reminted = 0;
-  int64_t deaths = 0;
-  double detect_ms = 0.0;         // kill -> declared dead
-  double detect_budget_ms = 0.0;  // configured suspect+dead miss window
-  double settle_all_ms = 0.0;     // kill -> last pre-death future settled
-  double p99_inflight_ms = 0.0;   // requests already in flight at the kill
-  double p99_rebuild_ms = 0.0;    // requests racing detection + rebuild
-  size_t live_replicas_after = 0;
-  bool bitwise_ok = true;
-  bool ok = false;
-};
+// ----------------------------------------------------------------- fleet
 
 /// Chaos drill: a 3-node fleet at peak QPS loses a node. Every in-flight
 /// future must settle exactly once (failover for the victim's share), the
@@ -892,582 +861,182 @@ struct FleetDrillResult {
 /// replica must be re-minted on the survivors, and everything served —
 /// before, during and after the failover — must stay bitwise identical
 /// to sequential infer().
-FleetDrillResult run_fleet_drill(core::MtlSplitModel* prototype) {
-  FleetDrillResult out;
+Report run_fleet(Models& m) {
   fleet::FleetConfig cfg;
-  cfg.nodes = out.nodes;
+  cfg.nodes = 3;
   cfg.replicas_per_node = 1;
   cfg.swim.ping_interval_us = 5000;
   cfg.swim.suspect_after = 2;
   cfg.swim.dead_after = 2;
   cfg.serve.batching = {.max_batch_size = 4, .max_wait_us = 500};
-  cfg.data_link = {.bandwidth_bps = 1e9, .base_latency_s = 0.0002};
+  cfg.data_link = kLan;
   cfg.control_link = {.bandwidth_bps = 1e9};
   cfg.make_replica = [] { return make_replica(501); };
   // The configured detection window plus scheduling slack for the prober
   // thread on a loaded host.
-  out.detect_budget_ms =
+  const double detect_budget_ms =
       1e-3 * static_cast<double>(cfg.swim.ping_interval_us) *
           static_cast<double>(cfg.swim.suspect_after + cfg.swim.dead_after) +
       200.0;
-  fleet::FleetRouter router(*prototype, sc::jetson_nano(),
-                            sc::rtx3090_server(), cfg);
-  out.victim = router.route(/*client_id=*/0);
+  fleet::FleetRouter router(*m.m0, sc::jetson_nano(), sc::rtx3090_server(),
+                            cfg);
+  const size_t victim = router.route(/*client_id=*/0);
 
-  struct Flight {
-    Tensor x;
-    std::future<sc::InferenceResult> f;
-    std::chrono::steady_clock::time_point t0, ready_at;
-    int wave = 0;
-    bool done = false, value = false;
-    sc::InferenceResult result;
-  };
+  // Request i is client i, input seeded 300000 + i.
   std::vector<Flight> flights;
-  uint64_t next_client = 0;
+  std::vector<int> waves;
   auto fire = [&](int wave) {
-    Flight fl;
-    fl.x = request_input(300000 + next_client);
-    fl.t0 = std::chrono::steady_clock::now();
-    fl.wave = wave;
-    fl.f = router.submit(fl.x.clone(), {.base = {.client_id = next_client}});
-    flights.push_back(std::move(fl));
-    ++next_client;
-    ++out.submitted;
+    const uint64_t id = flights.size();
+    Tensor x = request_input(300000 + id);
+    Flight& fl = flights.emplace_back();
+    fl.t0 = Clock::now();
+    fl.f = router.submit(std::move(x), {.base = {.client_id = id}});
+    waves.push_back(wave);
   };
-
   // Wave 0 — peak: a deep burst across every node's queue.
   for (int i = 0; i < 72; ++i) fire(0);
-  const auto t_kill = std::chrono::steady_clock::now();
-  router.kill_node(out.victim);
+  const auto t_kill = Clock::now();
+  router.kill_node(victim);
   // Wave 1 — racing the detector: paced so submissions keep landing on
   // the victim until it is declared dead, then shift to the survivors.
   for (int i = 0; i < 48; ++i) {
     fire(1);
     std::this_thread::sleep_for(std::chrono::microseconds(500));
   }
-  const auto detect_deadline =
-      t_kill + std::chrono::seconds(10);
-  while (router.node_state(out.victim) != fleet::NodeState::kDead &&
-         std::chrono::steady_clock::now() < detect_deadline)
+  while (router.node_state(victim) != fleet::NodeState::kDead &&
+         Clock::now() < t_kill + std::chrono::seconds(10))
     std::this_thread::sleep_for(std::chrono::microseconds(200));
-  out.detect_ms = 1e3 * std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t_kill)
-                            .count();
+  const double detect_ms = 1e3 * seconds_since(t_kill);
   // Wave 2 — after the failover: clean routing onto the survivors.
   for (int i = 0; i < 24; ++i) fire(2);
+  const size_t lost = settle(flights, Clock::now() + std::chrono::seconds(60));
 
-  // Harvest by polling: every future must settle, whatever its wave.
-  const auto give_up = std::chrono::steady_clock::now() +
-                       std::chrono::seconds(60);
-  size_t unsettled = flights.size();
-  while (unsettled > 0 && std::chrono::steady_clock::now() < give_up) {
-    unsettled = 0;
-    for (Flight& fl : flights) {
-      if (fl.done) continue;
-      if (fl.f.wait_for(std::chrono::seconds(0)) !=
-          std::future_status::ready) {
-        ++unsettled;
-        continue;
-      }
-      fl.ready_at = std::chrono::steady_clock::now();
-      fl.done = true;
-      try {
-        fl.result = fl.f.get();
-        fl.value = true;
-        ++out.settled_value;
-      } catch (...) {
-        ++out.settled_error;
-      }
-    }
-    if (unsettled > 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  out.lost = static_cast<int64_t>(unsettled);
-
+  int64_t settled_value = 0, settled_error = 0;
+  double settle_all_ms = 0.0;  // kill -> last pre-death future settled
   std::vector<double> lat_inflight, lat_rebuild;
-  for (const Flight& fl : flights) {
+  for (size_t i = 0; i < flights.size(); ++i) {
+    const Flight& fl = flights[i];
     if (!fl.done) continue;
-    const double lat = std::chrono::duration<double>(fl.ready_at - fl.t0)
-                           .count();
-    if (fl.wave == 0) lat_inflight.push_back(lat);
-    if (fl.wave == 1) lat_rebuild.push_back(lat);
-    if (fl.wave <= 1) {
-      const double since_kill =
-          1e3 * std::chrono::duration<double>(fl.ready_at - t_kill).count();
-      out.settle_all_ms = std::max(out.settle_all_ms, since_kill);
-    }
+    ++(fl.value ? settled_value : settled_error);
+    const double lat =
+        std::chrono::duration<double>(fl.ready_at - fl.t0).count();
+    if (waves[i] == 0) lat_inflight.push_back(lat);
+    if (waves[i] == 1) lat_rebuild.push_back(lat);
+    if (waves[i] <= 1)
+      settle_all_ms = std::max(
+          settle_all_ms,
+          1e3 * std::chrono::duration<double>(fl.ready_at - t_kill).count());
   }
-  out.p99_inflight_ms = 1e3 * client_p99_s(lat_inflight);
-  out.p99_rebuild_ms = 1e3 * client_p99_s(lat_rebuild);
-
+  size_t live_replicas_after = 0;
   for (size_t k : router.live_nodes())
-    out.live_replicas_after += router.node_replicas(k);
+    live_replicas_after += router.node_replicas(k);
   router.shutdown();
-  const fleet::FleetStats s = router.stats();
-  out.failovers = s.failovers;
-  out.reminted = s.replicas_reminted;
-  out.deaths = s.deaths;
-
-  // Bitwise gate: every value matches the sequential reference, whichever
-  // node (original or re-minted survivor replica) served it.
-  sc::Channel ref_ch({.bandwidth_bps = 1e9, .base_latency_s = 0.0002});
-  sc::ScDeployment ref(*prototype, ref_ch, sc::jetson_nano(),
+  const fleet::FleetStats st = router.stats();
+  // Every value matches the sequential reference, whichever node (original
+  // or re-minted survivor replica) served it.
+  sc::Channel ref_ch(kLan);
+  sc::ScDeployment ref(*m.m0, ref_ch, sc::jetson_nano(),
                        sc::rtx3090_server());
-  for (const Flight& fl : flights) {
-    if (!fl.value || !out.bitwise_ok) continue;
-    const sc::InferenceResult want = ref.infer(fl.x);
-    for (size_t j = 0; j < want.logits.size(); ++j)
-      if (!fl.result.logits[j].equals(want.logits[j]))
-        out.bitwise_ok = false;
-  }
+  int64_t diverged = 0;
+  for (uint64_t i = 0; i < flights.size(); ++i)
+    if (flights[i].value)
+      diverged += !same_logits(*flights[i].value,
+                               ref.infer(request_input(300000 + i)));
 
-  // Exit gates. settle-all completeness (0 lost futures) is the headline
-  // contract; everything on a clean data link settles with a value.
-  out.ok = out.lost == 0 &&
-           out.settled_value + out.settled_error == out.submitted &&
-           out.settled_error == 0 && out.bitwise_ok && out.deaths == 1 &&
-           out.detect_ms <= out.detect_budget_ms && out.reminted == 1 &&
-           out.live_replicas_after == out.nodes;
-  return out;
+  Report r;
+  const int64_t submitted = static_cast<int64_t>(flights.size());
+  // Settle-all completeness (0 lost futures) is the headline contract;
+  // everything on a clean data link settles with a value.
+  r.gate("fleet/lost_futures", lost, "==", 0);
+  r.gate("fleet/settled", settled_value + settled_error, "==", submitted);
+  r.gate("fleet/settled_error", settled_error, "==", 0);
+  r.gate("fleet/diverged_requests", diverged, "==", 0);
+  r.gate("fleet/deaths", st.deaths, "==", 1);
+  r.gate("fleet/detect_ms", detect_ms, "<=", detect_budget_ms);
+  r.gate("fleet/replicas_reminted", st.replicas_reminted, "==", 1);
+  r.gate("fleet/live_replicas_after", live_replicas_after, "==", cfg.nodes);
+  r.metrics["fleet"] = {
+      {"nodes", cfg.nodes}, {"victim", victim}, {"submitted", submitted},
+      {"settled_value", settled_value}, {"settled_error", settled_error},
+      {"lost_futures", lost}, {"failovers", st.failovers},
+      {"deaths", st.deaths}, {"replicas_reminted", st.replicas_reminted},
+      {"live_replicas_after", live_replicas_after},
+      {"detect_ms", detect_ms}, {"detect_budget_ms", detect_budget_ms},
+      {"settle_all_ms", settle_all_ms},
+      {"p99_inflight_at_kill_ms", p99_ms(lat_inflight)},
+      {"p99_during_rebuild_ms", p99_ms(lat_rebuild)},
+      {"bitwise_identical_to_sequential", diverged == 0},
+      {"ok", r.ok()}};
+  return r;
 }
 
-void write_slo_curve(FILE* f, const char* name, const SloCurve& curve,
-                     bool controller, bool last) {
-  std::fprintf(f, "    \"%s\": {\n", name);
-  std::fprintf(f, "      \"stages\": [\n");
-  for (size_t i = 0; i < curve.stages.size(); ++i) {
-    const SloStage& s = curve.stages[i];
-    std::fprintf(f,
-                 "        {\"offered_qps\": %.1f, \"completed\": %lld, "
-                 "\"rejected\": %lld, \"p99_ms\": %.3f}%s\n",
-                 s.offered_qps, static_cast<long long>(s.completed),
-                 static_cast<long long>(s.errored), s.p99_ms,
-                 i + 1 < curve.stages.size() ? "," : "");
-  }
-  std::fprintf(f, "      ]%s\n", controller ? "," : "");
-  if (controller) {
-    std::fprintf(f, "      \"ticks\": %lld,\n",
-                 static_cast<long long>(curve.ticks));
-    std::fprintf(f, "      \"violations\": %lld,\n",
-                 static_cast<long long>(curve.violations));
-    std::fprintf(f, "      \"final_depth_cap\": %.0f\n",
-                 curve.final_depth_cap);
-  }
-  std::fprintf(f, "    }%s\n", last ? "" : ",");
-}
+// ----------------------------------------------------------------- table
 
-void write_json(const std::vector<CellResult>& cells,
-                const OverloadResult& ov, const FairnessResult& fair,
-                const DeadlineResult& dl, const AutoscaleBench& as,
-                const std::vector<WireCell>& wire, bool wire_ok,
-                const SloBench& slo, const FleetDrillResult& fl,
-                bool bitwise_ok) {
-  FILE* f = std::fopen("BENCH_SERVING.json", "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write BENCH_SERVING.json\n");
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"serving\",\n");
-  std::fprintf(f, "  \"clients\": %zu,\n", kClients);
-  std::fprintf(f, "  \"requests_per_client\": %zu,\n", kPerClient);
-  std::fprintf(f, "  \"server_workers\": %zu,\n", kWorkers);
-  std::fprintf(f, "  \"bitwise_identical_to_sequential\": %s,\n",
-               bitwise_ok ? "true" : "false");
-  std::fprintf(f, "  \"cells\": [\n");
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i];
-    const serve::ServeStats& s = c.stats;
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"offered_qps\": %.1f,\n", c.offered_qps);
-    std::fprintf(f,
-                 "      \"policy\": {\"max_batch_size\": %lld, "
-                 "\"max_wait_us\": %lld},\n",
-                 static_cast<long long>(c.policy.max_batch_size),
-                 static_cast<long long>(c.policy.max_wait_us));
-    std::fprintf(f, "      \"completed\": %lld,\n",
-                 static_cast<long long>(s.completed));
-    std::fprintf(f, "      \"failed\": %lld,\n",
-                 static_cast<long long>(s.failed));
-    std::fprintf(f, "      \"throughput_rps\": %.2f,\n", s.throughput_rps());
-    std::fprintf(f, "      \"p50_ms\": %.3f,\n", 1e3 * s.percentile(50));
-    std::fprintf(f, "      \"p95_ms\": %.3f,\n", 1e3 * s.percentile(95));
-    std::fprintf(f, "      \"p99_ms\": %.3f,\n", 1e3 * s.percentile(99));
-    std::fprintf(f, "      \"mean_batch_size\": %.3f,\n",
-                 s.mean_batch_size());
-    std::fprintf(f, "      \"wire_bytes\": %lld,\n",
-                 static_cast<long long>(s.wire_bytes));
-    std::fprintf(f, "      \"batch_hist\": [");
-    for (size_t b = 0; b < s.batch_hist.size(); ++b)
-      std::fprintf(f, "%s%lld", b ? ", " : "",
-                   static_cast<long long>(s.batch_hist[b]));
-    std::fprintf(f, "]\n");
-    std::fprintf(f, "    }%s\n", i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"overload\": {\n");
-  std::fprintf(f, "    \"admission\": \"reject\",\n");
-  std::fprintf(f, "    \"saturation_qps\": %.1f,\n", ov.saturation_qps);
-  std::fprintf(f, "    \"unsaturated_qps\": %.1f,\n", ov.unsat_qps);
-  std::fprintf(f, "    \"unsaturated_p99_ms\": %.3f,\n", ov.unsat_p99_ms);
-  std::fprintf(f, "    \"overload_qps\": %.1f,\n", ov.overload_qps);
-  std::fprintf(f, "    \"overload_p99_ms\": %.3f,\n", ov.overload_p99_ms);
-  std::fprintf(f, "    \"p99_ratio\": %.3f,\n",
-               ov.unsat_p99_ms > 0.0 ? ov.overload_p99_ms / ov.unsat_p99_ms
-                                     : 0.0);
-  std::fprintf(f, "    \"max_submit_ms\": %.4f,\n", ov.max_submit_ms);
-  std::fprintf(f, "    \"admitted\": %lld,\n",
-               static_cast<long long>(ov.admitted));
-  std::fprintf(f, "    \"rejected\": %lld\n",
-               static_cast<long long>(ov.rejected));
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"fairness\": {\n");
-  std::fprintf(f, "    \"admission\": \"shed_oldest\",\n");
-  std::fprintf(f, "    \"duration_s\": %.2f,\n", fair.duration_s);
-  std::fprintf(f, "    \"victim_offered_qps\": %.1f,\n",
-               fair.victim_offered_qps);
-  std::fprintf(f, "    \"clients\": [\n");
-  for (size_t i = 0; i < fair.clients.size(); ++i) {
-    const FairnessClient& c = fair.clients[i];
-    std::fprintf(f,
-                 "      {\"client\": %llu, \"flooder\": %s, "
-                 "\"submitted\": %lld, \"completed\": %lld, "
-                 "\"shed_or_rejected\": %lld}%s\n",
-                 static_cast<unsigned long long>(c.client_id),
-                 c.flooder ? "true" : "false",
-                 static_cast<long long>(c.submitted),
-                 static_cast<long long>(c.completed),
-                 static_cast<long long>(c.shed_or_rejected),
-                 i + 1 < fair.clients.size() ? "," : "");
-  }
-  std::fprintf(f, "    ]\n");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"deadlines\": {\n");
-  std::fprintf(f, "    \"offered_qps\": %.1f,\n", dl.offered_qps);
-  std::fprintf(f, "    \"ttl_ms\": %.1f,\n", dl.ttl_ms);
-  std::fprintf(f, "    \"no_ttl\": {\"completed\": %lld, \"p99_ms\": %.3f},\n",
-               static_cast<long long>(dl.completed_no_ttl), dl.p99_no_ttl_ms);
-  std::fprintf(f,
-               "    \"ttl\": {\"completed\": %lld, \"expired\": %lld, "
-               "\"p99_ms\": %.3f}\n",
-               static_cast<long long>(dl.completed_ttl),
-               static_cast<long long>(dl.expired_ttl), dl.p99_ttl_ms);
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"autoscale\": {\n");
-  std::fprintf(f, "    \"burst\": %lld,\n", static_cast<long long>(as.burst));
-  std::fprintf(f, "    \"hardware_threads\": %u,\n", as.hardware_threads);
-  std::fprintf(f, "    \"static_wall_s\": %.3f,\n", as.static_wall_s);
-  std::fprintf(f, "    \"autoscaled_wall_s\": %.3f,\n", as.autoscaled_wall_s);
-  std::fprintf(f, "    \"speedup\": %.2f,\n",
-               as.autoscaled_wall_s > 0.0
-                   ? as.static_wall_s / as.autoscaled_wall_s
-                   : 0.0);
-  std::fprintf(f, "    \"max_replicas_seen\": %zu,\n", as.max_replicas_seen);
-  std::fprintf(f, "    \"scale_ups\": %lld,\n",
-               static_cast<long long>(as.scale_ups));
-  std::fprintf(f, "    \"scale_downs\": %lld,\n",
-               static_cast<long long>(as.scale_downs));
-  std::fprintf(f, "    \"final_replicas\": %zu,\n", as.final_replicas);
-  std::fprintf(f, "    \"bitwise_identical_to_sequential\": %s\n",
-               as.bitwise_ok ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"wire\": {\n");
-  std::fprintf(f, "    \"backbone\": \"vgg16-edge\",\n");
-  std::fprintf(f, "    \"image\": %lld,\n",
-               static_cast<long long>(kWireImage));
-  std::fprintf(f, "    \"encoding\": \"int8\",\n");
-  std::fprintf(f, "    \"mtu_bytes\": 256,\n");
-  std::fprintf(f, "    \"max_retransmits\": 8,\n");
-  std::fprintf(f, "    \"ok\": %s,\n", wire_ok ? "true" : "false");
-  std::fprintf(f, "    \"cells\": [\n");
-  for (size_t i = 0; i < wire.size(); ++i) {
-    const WireCell& c = wire[i];
-    std::fprintf(f, "      {\"codec\": %s, \"loss_pct\": %.1f, "
-                 "\"fec_overhead\": %.3f, \"fec_data\": %lld, "
-                 "\"fec_parity\": %lld, "
-                 "\"submitted\": %lld, \"settled\": %lld, "
-                 "\"completed\": %lld, \"failed\": %lld, "
-                 "\"wire_bytes_raw\": %lld, \"wire_bytes\": %lld, "
-                 "\"compression_ratio\": %.3f, \"retransmits\": %lld, "
-                 "\"fec_repaired\": %lld, \"undelivered\": %lld, "
-                 "\"goodput_bytes_s\": %.0f, \"window\": %.1f, "
-                 "\"p99_ms\": %.3f, \"bitwise\": %s}%s\n",
-                 c.codec ? "true" : "false", c.loss_pct, c.fec.overhead,
-                 static_cast<long long>(c.fec.fec_data),
-                 static_cast<long long>(c.fec.fec_parity),
-                 static_cast<long long>(c.submitted),
-                 static_cast<long long>(c.settled),
-                 static_cast<long long>(c.stats.completed),
-                 static_cast<long long>(c.stats.failed),
-                 static_cast<long long>(c.stats.wire_bytes_raw),
-                 static_cast<long long>(c.stats.wire_bytes), c.ratio(),
-                 static_cast<long long>(c.stats.retransmits),
-                 static_cast<long long>(c.stats.fec_repaired),
-                 static_cast<long long>(c.stats.undelivered),
-                 c.stats.goodput_bytes_s(), c.stats.link_window,
-                 1e3 * c.stats.percentile(99), c.bitwise ? "true" : "false",
-                 i + 1 < wire.size() ? "," : "");
-  }
-  std::fprintf(f, "    ],\n");
-  // Repair-vs-retransmit crossover: per loss rate, the FEC overhead that
-  // maximised goodput, and the first loss rate where parity beat none.
-  std::fprintf(f, "    \"crossover\": {\n");
-  std::fprintf(f, "      \"best_overhead_by_loss\": [\n");
-  double first_win = -1.0;
-  const double kLosses[] = {0.0, 1.0, 5.0, 10.0};
-  for (size_t i = 0; i < 4; ++i) {
-    const double best = best_overhead_at(wire, kLosses[i]);
-    if (best > 0.0 && first_win < 0.0) first_win = kLosses[i];
-    std::fprintf(f, "        {\"loss_pct\": %.1f, \"best_overhead\": %.3f}%s\n",
-                 kLosses[i], best, i + 1 < 4 ? "," : "");
-  }
-  std::fprintf(f, "      ],\n");
-  std::fprintf(f, "      \"first_loss_pct_where_fec_wins\": %.1f\n",
-               first_win);
-  std::fprintf(f, "    }\n");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"slo\": {\n");
-  std::fprintf(f, "    \"admission\": \"reject\",\n");
-  std::fprintf(f, "    \"static_capacity\": %lld,\n",
-               static_cast<long long>(kSloStaticDepth));
-  std::fprintf(f, "    \"min_depth\": 2,\n");
-  std::fprintf(f, "    \"saturation_qps\": %.1f,\n", slo.saturation_qps);
-  std::fprintf(f, "    \"calibration_p99_ms\": %.3f,\n", slo.calib_p99_ms);
-  std::fprintf(f, "    \"target_p99_ms\": %.3f,\n", slo.target_p99_ms);
-  std::fprintf(f, "    \"ramp_x_saturation\": [");
-  for (size_t i = 0; i < slo.ramp.size(); ++i)
-    std::fprintf(f, "%s%.1f", i ? ", " : "", slo.ramp[i]);
-  std::fprintf(f, "],\n");
-  write_slo_curve(f, "static", slo.fixed, /*controller=*/false,
-                  /*last=*/false);
-  write_slo_curve(f, "controller", slo.adaptive, /*controller=*/true,
-                  /*last=*/false);
-  std::fprintf(f, "    \"static_violates_final_stage\": %s,\n",
-               slo.static_violates ? "true" : "false");
-  std::fprintf(f, "    \"controller_holds_final_stage\": %s,\n",
-               slo.controller_holds ? "true" : "false");
-  std::fprintf(f, "    \"ok\": %s\n", slo.ok ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"fleet\": {\n");
-  std::fprintf(f, "    \"nodes\": %zu,\n", fl.nodes);
-  std::fprintf(f, "    \"victim\": %zu,\n", fl.victim);
-  std::fprintf(f, "    \"submitted\": %lld,\n",
-               static_cast<long long>(fl.submitted));
-  std::fprintf(f, "    \"settled_value\": %lld,\n",
-               static_cast<long long>(fl.settled_value));
-  std::fprintf(f, "    \"settled_error\": %lld,\n",
-               static_cast<long long>(fl.settled_error));
-  std::fprintf(f, "    \"lost_futures\": %lld,\n",
-               static_cast<long long>(fl.lost));
-  std::fprintf(f, "    \"failovers\": %lld,\n",
-               static_cast<long long>(fl.failovers));
-  std::fprintf(f, "    \"deaths\": %lld,\n",
-               static_cast<long long>(fl.deaths));
-  std::fprintf(f, "    \"replicas_reminted\": %lld,\n",
-               static_cast<long long>(fl.reminted));
-  std::fprintf(f, "    \"live_replicas_after\": %zu,\n",
-               fl.live_replicas_after);
-  std::fprintf(f, "    \"detect_ms\": %.3f,\n", fl.detect_ms);
-  std::fprintf(f, "    \"detect_budget_ms\": %.3f,\n", fl.detect_budget_ms);
-  std::fprintf(f, "    \"settle_all_ms\": %.3f,\n", fl.settle_all_ms);
-  std::fprintf(f, "    \"p99_inflight_at_kill_ms\": %.3f,\n",
-               fl.p99_inflight_ms);
-  std::fprintf(f, "    \"p99_during_rebuild_ms\": %.3f,\n", fl.p99_rebuild_ms);
-  std::fprintf(f, "    \"bitwise_identical_to_sequential\": %s,\n",
-               fl.bitwise_ok ? "true" : "false");
-  std::fprintf(f, "    \"ok\": %s\n", fl.ok ? "true" : "false");
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_SERVING.json\n");
-}
+struct Scenario {
+  const char* key;
+  const char* why;
+  Report (*run)(Models&);
+};
+
+const Scenario kScenarios[] = {
+    {"bitwise", "served logits equal sequential infer(), whatever batches form",
+     run_bitwise},
+    {"load_sweep", "open-loop load x batching policy: does batching coalesce?",
+     run_load_sweep},
+    {"overload", "Reject admission at 4x the closed-loop saturation rate",
+     run_overload},
+    {"fairness", "a closed-loop flooder vs 3 open-loop clients, one DRR queue",
+     run_fairness},
+    {"deadlines", "one replica at 2x its service rate, with and without a ttl",
+     run_deadlines},
+    {"autoscale", "a burst on a min=1/max=3 autoscaling server vs one replica",
+     run_autoscale},
+    {"wire", "sparse int8 Z_b over a lossy packet link: codec x loss x FEC",
+     run_wire},
+    {"slo", "a saturation ramp on a deep Reject queue: static vs controller",
+     run_slo},
+    {"fleet", "a 3-node fleet loses its routed-to node at peak load",
+     run_fleet},
+};
 
 }  // namespace
 
 int main() {
-  std::printf("Serving bench: %zu open-loop Poisson clients x %zu requests, "
-              "%zu server workers\n\n",
-              kClients, kPerClient, kWorkers);
-
-  // Worker replicas share one set of weights.
-  auto m0 = make_replica(1);
-  auto m1 = make_replica(2);
-  core::copy_model_state(*m1, *m0);
-  auto ref = make_replica(3);
-  core::copy_model_state(*ref, *m0);
-
-  const bool bitwise_ok = bitwise_identity_check(*m0, *ref);
-  std::printf("served == sequential bitwise: %s\n\n",
-              bitwise_ok ? "yes" : "NO — BUG");
-
-  const serve::BatchingPolicy no_batch{.max_batch_size = 1, .max_wait_us = 0};
-  const serve::BatchingPolicy dynamic{.max_batch_size = 8,
-                                      .max_wait_us = 2000};
-  std::vector<CellResult> cells;
-  std::printf("%9s | %-22s | %9s | %8s | %8s | %8s | %10s\n", "offered",
-              "policy", "rps", "p50 ms", "p95 ms", "p99 ms", "mean batch");
-  for (int i = 0; i < 90; ++i) std::putchar('-');
-  std::putchar('\n');
-  for (double qps : {100.0, 300.0, 600.0}) {
-    for (const serve::BatchingPolicy& policy : {no_batch, dynamic}) {
-      cells.push_back(run_cell({m0.get(), m1.get()}, qps, policy));
-      const serve::ServeStats& s = cells.back().stats;
-      char pol[64];
-      std::snprintf(pol, sizeof(pol), "batch<=%lld wait=%lldus",
-                    static_cast<long long>(policy.max_batch_size),
-                    static_cast<long long>(policy.max_wait_us));
-      std::printf("%7.0f/s | %-22s | %9.1f | %8.2f | %8.2f | %8.2f | %10.2f\n",
-                  qps, pol, s.throughput_rps(), 1e3 * s.percentile(50),
-                  1e3 * s.percentile(95), 1e3 * s.percentile(99),
-                  s.mean_batch_size());
+  Models models;
+  Json root{{"bench", "serving"}};
+  Json gates = Json::array();
+  std::vector<std::string> failed;
+  size_t total = 0;
+  for (const Scenario& scenario : kScenarios) {
+    std::printf("== %s: %s\n", scenario.key, scenario.why);
+    std::fflush(stdout);
+    const Report r = scenario.run(models);
+    std::printf("%s\n", r.metrics.dump(0).c_str());
+    for (const Gate& g : r.gates) {
+      std::printf("  %-13s %-40s %s %s %s\n", g.verdict.c_str(),
+                  g.name.c_str(), Json::number(g.value).c_str(), g.op,
+                  Json::number(g.bound).c_str());
+      gates.push({{"name", g.name},
+                  {"value", g.value},
+                  {"op", g.op},
+                  {"bound", g.bound},
+                  {"verdict", g.verdict}});
+      if (g.verdict != "pass") failed.push_back(g.name + " " + g.verdict);
+      ++total;
     }
+    std::printf("\n");
+    for (const auto& [key, value] : r.metrics.members()) root[key] = value;
   }
-  for (int i = 0; i < 90; ++i) std::putchar('-');
-  std::putchar('\n');
-
-  std::printf("\nOverload (Reject admission, capacity 8):\n");
-  const OverloadResult ov = run_overload(m0.get(), m1.get());
-  std::printf("  saturation       %8.1f rps (closed-loop probe)\n",
-              ov.saturation_qps);
-  std::printf("  0.5x offered     p99 %8.3f ms\n", ov.unsat_p99_ms);
-  std::printf("  4.0x offered     p99 %8.3f ms (admitted only), "
-              "%lld admitted / %lld rejected\n",
-              ov.overload_p99_ms, static_cast<long long>(ov.admitted),
-              static_cast<long long>(ov.rejected));
-  std::printf("  p99 ratio        %8.2fx (target: <= ~2x)\n",
-              ov.unsat_p99_ms > 0.0 ? ov.overload_p99_ms / ov.unsat_p99_ms
-                                    : 0.0);
-  std::printf("  worst submit()   %8.4f ms (admission never blocks intake)\n",
-              ov.max_submit_ms);
-
-  std::printf("\nFairness (DRR, 1 flooder @ closed loop vs 3 x %.0f rps):\n",
-              40.0);
-  const FairnessResult fair = run_fairness(m0.get());
-  for (const FairnessClient& c : fair.clients)
-    std::printf("  client %llu %-8s submitted %5lld  completed %5lld  "
-                "shed %5lld\n",
-                static_cast<unsigned long long>(c.client_id),
-                c.flooder ? "(flood)" : "",
-                static_cast<long long>(c.submitted),
-                static_cast<long long>(c.completed),
-                static_cast<long long>(c.shed_or_rejected));
-
-  std::printf("\nDeadlines (1 replica, 2x saturation, ttl 30 ms):\n");
-  const DeadlineResult dl = run_deadlines(m0.get(), ov.saturation_qps);
-  std::printf("  no ttl   %5lld completed, p99 %8.2f ms (stale work served)\n",
-              static_cast<long long>(dl.completed_no_ttl), dl.p99_no_ttl_ms);
-  std::printf("  ttl 30ms %5lld completed, %lld expired pre-model, "
-              "p99 %8.2f ms\n",
-              static_cast<long long>(dl.completed_ttl),
-              static_cast<long long>(dl.expired_ttl), dl.p99_ttl_ms);
-
-  std::printf("\nAutoscale (burst 256, min 1 / max 3 replicas):\n");
-  const AutoscaleBench as = run_autoscale(m0.get(), ref.get());
-  std::printf("  static 1 replica   %7.3f s\n", as.static_wall_s);
-  std::printf("  autoscaled         %7.3f s (%.2fx), peak %zu replicas, "
-              "%lld up / %lld down, %zu at rest\n",
-              as.autoscaled_wall_s,
-              as.autoscaled_wall_s > 0.0
-                  ? as.static_wall_s / as.autoscaled_wall_s
-                  : 0.0,
-              as.max_replicas_seen, static_cast<long long>(as.scale_ups),
-              static_cast<long long>(as.scale_downs), as.final_replicas);
-  std::printf("  minted replicas bitwise identical: %s\n",
-              as.bitwise_ok ? "yes" : "NO — BUG");
-  if (as.hardware_threads <= 1)
-    std::printf("  (single-core host: replica parallelism cannot show a "
-                "wall-clock speedup here)\n");
-
-  std::printf("\nWire (VGG sparse-ReLU Z_b @ %lldpx, int8, MTU 256, "
-              "loss x FEC overhead):\n",
-              static_cast<long long>(kWireImage));
-  bool wire_ok = false;
-  const std::vector<WireCell> wire = run_wire_scenario(&wire_ok);
-  std::printf("  %-6s | %5s | %4s | %9s | %6s | %7s | %6s | %9s | %s\n",
-              "codec", "loss", "fec", "wire B", "ratio", "retrans",
-              "repair", "goodput", "settled/bitwise");
-  for (const WireCell& c : wire)
-    std::printf("  %-6s | %4.1f%% | %4.2f | %9lld | %6.3f | %7lld | %6lld "
-                "| %9.0f | %lld/%lld %s\n",
-                c.codec ? "on" : "off", c.loss_pct, c.fec.overhead,
-                static_cast<long long>(c.stats.wire_bytes), c.ratio(),
-                static_cast<long long>(c.stats.retransmits),
-                static_cast<long long>(c.stats.fec_repaired),
-                c.stats.goodput_bytes_s(),
-                static_cast<long long>(c.settled),
-                static_cast<long long>(c.submitted),
-                c.bitwise ? "bitwise" : "DIVERGED");
-  std::printf("  wire scenario %s (codec ratio <= 0.6, zero-RTT FEC repair "
-              "at 1%% loss, exactly-once under loss, bitwise survivors)\n",
-              wire_ok ? "OK" : "FAILED");
-
-  std::printf("\nSLO control (1 replica, Reject depth %lld static vs "
-              "controller, ramp x saturation):\n",
-              static_cast<long long>(kSloStaticDepth));
-  const SloBench slo = run_slo(m0.get());
-  std::printf("  saturation %.1f rps, calibrated p99 %.2f ms, "
-              "target %.2f ms\n",
-              slo.saturation_qps, slo.calib_p99_ms, slo.target_p99_ms);
-  std::printf("  %-12s | %9s | %9s | %9s | %9s\n", "knob", "offered",
-              "completed", "rejected", "p99 ms");
-  for (size_t i = 0; i < slo.fixed.stages.size(); ++i) {
-    const SloStage& sf = slo.fixed.stages[i];
-    const SloStage& sa = slo.adaptive.stages[i];
-    std::printf("  %-12s | %7.0f/s | %9lld | %9lld | %9.2f%s\n", "static",
-                sf.offered_qps, static_cast<long long>(sf.completed),
-                static_cast<long long>(sf.errored), sf.p99_ms,
-                sf.p99_ms > slo.target_p99_ms ? "  << SLO MISS" : "");
-    std::printf("  %-12s | %7.0f/s | %9lld | %9lld | %9.2f%s\n", "controller",
-                sa.offered_qps, static_cast<long long>(sa.completed),
-                static_cast<long long>(sa.errored), sa.p99_ms,
-                sa.p99_ms > slo.target_p99_ms ? "  << SLO MISS" : "");
-  }
-  std::printf("  controller: %lld ticks, %lld violations, final depth cap "
-              "%.0f\n",
-              static_cast<long long>(slo.adaptive.ticks),
-              static_cast<long long>(slo.adaptive.violations),
-              slo.adaptive.final_depth_cap);
-  std::printf("  slo scenario %s (final stage: static must miss the target, "
-              "controller must hold it)\n",
-              slo.ok ? "OK" : "FAILED");
-
-  std::printf("\nFleet chaos drill (3 nodes, SWIM detector, kill at peak "
-              "load):\n");
-  const FleetDrillResult fl = run_fleet_drill(m0.get());
-  std::printf("  victim node %zu, %lld futures in flight across the kill\n",
-              fl.victim, static_cast<long long>(fl.submitted));
-  std::printf("  detected dead in %.1f ms (budget %.1f ms)\n", fl.detect_ms,
-              fl.detect_budget_ms);
-  std::printf("  settled: %lld values, %lld errors, %lld LOST "
-              "(settle-all %.1f ms after the kill)\n",
-              static_cast<long long>(fl.settled_value),
-              static_cast<long long>(fl.settled_error),
-              static_cast<long long>(fl.lost), fl.settle_all_ms);
-  std::printf("  failovers %lld, replicas re-minted %lld, live replicas "
-              "after rebuild %zu/%zu\n",
-              static_cast<long long>(fl.failovers),
-              static_cast<long long>(fl.reminted), fl.live_replicas_after,
-              fl.nodes);
-  std::printf("  p99 in-flight-at-kill %.2f ms, p99 during rebuild %.2f ms, "
-              "bitwise %s\n",
-              fl.p99_inflight_ms, fl.p99_rebuild_ms,
-              fl.bitwise_ok ? "yes" : "NO — BUG");
-  std::printf("  fleet drill %s (exactly-once settlement, 0 lost futures, "
-              "detection within budget, capacity rebuilt)\n",
-              fl.ok ? "OK" : "FAILED");
-
-  std::printf(
-      "\nShape check: dynamic batching coalesces under load, Reject keeps\n"
-      "the admitted-request tail bounded at 4x saturation, the DRR queue\n"
-      "caps the flooder at its share while the victims complete theirs,\n"
-      "deadlines shed stale work before it reaches the model, the\n"
-      "autoscaler absorbs the burst and retires its replicas, the entropy\n"
-      "codec keeps sparse Z_b under 0.6x raw bytes across a lossy link,\n"
-      "the SLO controller holds the latency target through a ramp the\n"
-      "static depth knob fails, and every served logit is bit-identical\n"
-      "to sequential infer(), single-server and fleet alike — including\n"
-      "across a node death and the replica rebuild that follows.\n");
-  write_json(cells, ov, fair, dl, as, wire, wire_ok, slo, fl,
-             bitwise_ok && as.bitwise_ok);
-  return bitwise_ok && as.bitwise_ok && wire_ok && slo.ok && fl.ok ? 0 : 1;
+  // The top-level flag covers the single-server check and the autoscaled
+  // replicas; the wire and fleet scenarios report their own.
+  root["bitwise_identical_to_sequential"] =
+      root.at("bitwise_identical_to_sequential").num() != 0.0 &&
+      root.at("autoscale").at("bitwise_identical_to_sequential").num() != 0.0;
+  root["gates"] = gates;
+  if (!root.write("BENCH_SERVING.json"))
+    std::fprintf(stderr, "cannot write BENCH_SERVING.json\n");
+  std::printf("%zu of %zu gates passed; wrote BENCH_SERVING.json\n",
+              total - failed.size(), total);
+  for (const std::string& f : failed) std::printf("GATE %s\n", f.c_str());
+  return failed.empty() ? 0 : 1;
 }

@@ -11,6 +11,9 @@ namespace mtlsplit::fleet {
 
 namespace {
 
+/// How often each node's settler sweeps its pending futures.
+constexpr std::chrono::microseconds kSettlePoll{200};
+
 uint64_t splitmix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -100,8 +103,6 @@ FleetRouter::FleetRouter(core::MtlSplitModel& prototype,
             "FleetRouter: dead_after must be >= 1");
   check_arg(cfg_.max_failovers >= 0,
             "FleetRouter: max_failovers must be >= 0");
-  check_arg(cfg_.settle_poll_us >= 1,
-            "FleetRouter: settle_poll_us must be >= 1");
 
   submitted_c_ = &registry_.counter("fleet/submitted");
   settled_value_c_ = &registry_.counter("fleet/settled_value");
@@ -263,10 +264,9 @@ void FleetRouter::settler_loop(size_t k) {
       if (!n.killed.load(std::memory_order_acquire)) sweep_locked(n);
     }
     std::unique_lock<std::mutex> wl(wake_mu_);
-    wake_cv_.wait_for(wl, std::chrono::microseconds(cfg_.settle_poll_us),
-                      [this] {
-                        return stopped_.load(std::memory_order_acquire);
-                      });
+    wake_cv_.wait_for(wl, kSettlePoll, [this] {
+      return stopped_.load(std::memory_order_acquire);
+    });
   }
 }
 

@@ -123,7 +123,6 @@ struct FleetConfig {
   /// Transparent re-submits an idempotent request may consume before it
   /// settles with NodeFailedError (bounds cascading-failure work).
   int max_failovers = 2;
-  int64_t settle_poll_us = 200;  ///< settler sweep period per node
 };
 
 struct FleetSubmitOptions {

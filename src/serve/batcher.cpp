@@ -23,8 +23,7 @@ DynamicBatcher::DynamicBatcher(RequestQueue& queue, BatchingPolicy policy,
 }
 
 void DynamicBatcher::coalesce(std::vector<Request>& out) {
-  const bool jump = policy_.high_priority_jumps &&
-                    out.front().priority == Priority::kHigh;
+  const bool jump = out.front().priority == Priority::kHigh;
   if (jump && jumps_) jumps_->inc();
   // A high-priority leader dispatches with what is already queued (a
   // deadline in the past makes pop_until a try-pop).

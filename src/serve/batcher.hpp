@@ -10,9 +10,9 @@
 //
 // Priority interacts with coalescing in two ways: the queue pops
 // high-priority requests first (so they always lead the next batch), and
-// when high_priority_jumps is set a batch led by a kHigh request skips
-// the coalescing wait entirely — it dispatches with whatever is already
-// queued instead of idling out max_wait_us.
+// a batch led by a kHigh request skips the coalescing wait entirely — it
+// dispatches with whatever is already queued instead of idling out
+// max_wait_us.
 //
 // next_batch_for is the bounded variant ScServer's workers use: it gives
 // up after an idle window with an empty batch instead of blocking
@@ -29,8 +29,6 @@ namespace mtlsplit::serve {
 struct BatchingPolicy {
   int64_t max_batch_size = 8;  ///< cap on requests coalesced per batch
   int64_t max_wait_us = 2000;  ///< how long the first request may wait
-  /// A batch led by a Priority::kHigh request skips the wait window.
-  bool high_priority_jumps = true;
 };
 
 class DynamicBatcher {

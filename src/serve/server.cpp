@@ -55,8 +55,6 @@ void ScServer::start(std::vector<core::MtlSplitModel*>& replicas,
   check_arg(cfg_.batching.max_batch_size >= 1,
             "ScServer: max_batch_size must be >= 1");
   check_arg(cfg_.idle_poll_us >= 1, "ScServer: idle_poll_us must be >= 1");
-  check_arg(cfg_.steal_min_backlog >= 1,
-            "ScServer: steal_min_backlog must be >= 1");
   const size_t n = replicas.size();
   const size_t per_shard =
       cfg_.replicas_per_shard == 0 ? n : cfg_.replicas_per_shard;
@@ -250,9 +248,9 @@ void ScServer::worker_loop(Worker& w) {
 bool ScServer::try_steal(const Worker& w, std::vector<Request>& out) {
   out.clear();
   if (shards_.size() < 2) return false;
-  // Victim: the sibling with the deepest backlog, if any clears the bar.
+  // Victim: the sibling with the deepest non-empty backlog.
   size_t victim = shards_.size();
-  size_t best_depth = static_cast<size_t>(cfg_.steal_min_backlog) - 1;
+  size_t best_depth = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (s == w.shard) continue;
     const size_t depth = shards_[s]->queue.size();
@@ -585,8 +583,8 @@ void ScServer::autoscale_loop() {
       const double per_replica = backlog / static_cast<double>(active);
       // The up-threshold is read through an atomic mirror: statically it is
       // AutoscaleConfig::scale_up_backlog, but the SLO controller (when
-      // drive_autoscale is on) lowers it under violation pressure so the
-      // fleet grows before the backlog alone would justify it.
+      // enabled) lowers it under violation pressure so the fleet grows
+      // before the backlog alone would justify it.
       const double up_backlog =
           slo_scale_up_backlog_.load(std::memory_order_relaxed);
       if (per_replica >= up_backlog && active < as.max_replicas) {
@@ -635,9 +633,8 @@ void ScServer::slo_loop() {
     const SloController::Decision d = slo_->tick(window);
     if (d.acted) {
       for (auto& sh : shards_) sh->queue.set_capacity(d.depth_cap);
-      if (cfg_.slo.drive_autoscale)
-        slo_scale_up_backlog_.store(d.scale_up_backlog,
-                                    std::memory_order_relaxed);
+      slo_scale_up_backlog_.store(d.scale_up_backlog,
+                                  std::memory_order_relaxed);
     }
     lk.lock();
   }

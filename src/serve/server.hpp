@@ -89,8 +89,6 @@ struct ServeConfig {
   ShardingPolicy sharding = ShardingPolicy::kLeastLoaded;
   /// Idle workers pull from the most-backlogged sibling shard queue.
   bool work_stealing = true;
-  /// A sibling queue must hold at least this many requests to be robbed.
-  int64_t steal_min_backlog = 1;
   /// How long a worker waits on its own empty queue before it checks for
   /// retirement and (if enabled) tries to steal.
   int64_t idle_poll_us = 1000;
@@ -98,8 +96,8 @@ struct ServeConfig {
   /// Closed-loop SLO control (serve/slo_controller.hpp): when enabled the
   /// server runs one controller thread that drains the windowed latency
   /// histogram each interval and steers every shard queue's depth cap
-  /// (RequestQueue::set_capacity) — and, when slo.drive_autoscale, the
-  /// autoscaler's scale-up threshold — from measured p99-vs-target slack.
+  /// (RequestQueue::set_capacity) and the autoscaler's scale-up threshold
+  /// from measured p99-vs-target slack.
   /// Requires admission.capacity >= 1 (the cap needs a bounded queue).
   SloConfig slo;
   /// Z_b wire encoding, as in ScDeployment.
@@ -260,7 +258,7 @@ class ScServer {
   std::unique_ptr<SloController> slo_;
   std::thread slo_thread_;
   /// The autoscaler's live scale-up threshold: AutoscaleConfig's static
-  /// value until the SLO controller (drive_autoscale) starts steering it.
+  /// value until the SLO controller starts steering it.
   std::atomic<double> slo_scale_up_backlog_{0.0};
   std::atomic<bool> stopped_{false};
 };

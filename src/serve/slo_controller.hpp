@@ -46,8 +46,6 @@ struct SloConfig {
   /// Grow only while p99 < grow_margin * target — a comfort margin that
   /// keeps the cap from oscillating against the SLO boundary.
   double grow_margin = 0.7;
-  /// Also drive the autoscaler's scale-up threshold from SLO slack.
-  bool drive_autoscale = true;
   /// Floor for the driven scale-up threshold (queued-per-replica).
   double min_scale_up_backlog = 1.0;
 };

@@ -138,6 +138,21 @@ TEST(DynamicBatcher, WaitWindowPicksUpLateArrivals) {
   ASSERT_FALSE(b.next_batch(batch));
 }
 
+TEST(DynamicBatcher, HighPriorityLeaderSkipsTheWaitWindow) {
+  serve::RequestQueue q;
+  telemetry::Registry reg;
+  serve::DynamicBatcher b(q, {.max_batch_size = 4, .max_wait_us = 2000000},
+                          &reg, "batcher");
+  (void)q.submit(Tensor({1, 1, 2, 2}), {.priority = serve::Priority::kHigh});
+  std::vector<serve::Request> batch;
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(b.next_batch(batch));
+  // A normal leader would idle out the whole 2 s window for company.
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 500ms);
+  EXPECT_EQ(batch.size(), 1u);
+  EXPECT_EQ(reg.counter_value("batcher/jumps"), 1);
+}
+
 // --------------------------------------------------------------- infer_batch
 
 TEST(InferBatch, BitwiseIdenticalToPerRequestInferFp32) {
