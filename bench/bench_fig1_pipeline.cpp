@@ -9,13 +9,17 @@
 // including the entropy-coded wire (DESIGN.md §9), (c) how the SC
 // advantage moves as the channel degrades, and (d) the pipelined stream
 // with raw vs compressed wire stage times. Everything lands in
-// BENCH_FIG1_PIPELINE.json.
+// BENCH_FIG1_PIPELINE.json. Two gates check the bit-exactness claims: the
+// fp32 paradigms (LoC, RoC, SC fp32) equal the monolithic model, and the
+// lossless codec leaves the int8 logits unchanged. The bench exits 1
+// unless both pass.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <vector>
 
 #include "data/shapes3d.hpp"
+#include "gate.hpp"
 #include "graph/split_search.hpp"
 #include "json.hpp"
 #include "models/backbone.hpp"
@@ -59,11 +63,12 @@ struct SearchRow {
 };
 
 /// BENCH_FIG1_PIPELINE.json: the paradigm rows, the stream's stage
-/// totals, and every backbone's split-point frontier.
+/// totals, every backbone's split-point frontier and the gates.
 bench::Json report(const std::vector<ParadigmRow>& rows,
                    const StreamStages& raw_stage,
                    const StreamStages& codec_stage, size_t stream_len,
-                   const std::vector<SearchRow>& searches) {
+                   const std::vector<SearchRow>& searches,
+                   const std::vector<bench::Gate>& gates) {
   using bench::Json;
   Json out{{"bench", "fig1_pipeline"}};
   Json& paradigms = out["paradigms"] = Json::array();
@@ -102,6 +107,8 @@ bench::Json report(const std::vector<ParadigmRow>& rows,
                        {"best_pipelined", row.r.best_pipelined},
                        {"frontier", frontier}});
   }
+  Json& gate_rows = out["gates"] = Json::array();
+  for (const bench::Gate& g : gates) gate_rows.push(g.json());
   return out;
 }
 
@@ -178,14 +185,20 @@ int main(int argc, char** argv) {
   }
   const auto r_i8 = sc_i8.infer(batch.images);
   rows.push_back({"SC int8 Z_b", r_i8, exact(r_i8.logits)});
+  int64_t codec_changed = 0;  // tasks whose int8 logits the codec changed
   {
     auto r = sc_i8c.infer(batch.images);
     rows.push_back({"SC int8+codec", r, exact(r.logits)});
     for (size_t j = 0; j < r.logits.size(); ++j)
-      if (!r.logits[j].equals(r_i8.logits[j]))
-        std::printf("WARNING: codec changed int8 logits — lossless "
-                    "contract broken\n");
+      codec_changed += r.logits[j].equals(r_i8.logits[j]) ? 0 : 1;
   }
+  const std::vector<bench::Gate> gates = {
+      bench::Gate::check("bit_exact/fp32_paradigms_differing",
+                         !rows[0].bit_exact + !rows[1].bit_exact +
+                             !rows[2].bit_exact,
+                         "==", 0),
+      bench::Gate::check("codec/int8_logits_differing", codec_changed, "==",
+                         0)};
 
   std::printf("%-16s | %10s | %10s | %10s | %10s | %9s | %s\n", "paradigm",
               "edge ms", "wire ms", "server ms", "total ms", "wire KB",
@@ -352,16 +365,12 @@ int main(int argc, char** argv) {
                   pr.rewrites, 1e3 * pr.seconds);
   }
 
-  std::printf(
-      "\nShape check: SC's wire payload shrinks vs RoC's raw input, the\n"
-      "fp32 split is bit-exact, the SC advantage widens as the channel\n"
-      "degrades, the entropy codec shrinks the wire stage further (int8\n"
-      "logits unchanged bit for bit), and the pipelined stream never runs\n"
-      "slower than its bottleneck stage implies.\n");
-  if (report(rows, raw_stage, codec_stage, stream_len, searches)
+  std::printf("\nGates:\n");
+  for (const bench::Gate& g : gates) g.print();
+  if (report(rows, raw_stage, codec_stage, stream_len, searches, gates)
           .write("BENCH_FIG1_PIPELINE.json"))
     std::printf("\nwrote BENCH_FIG1_PIPELINE.json\n");
   else
     std::fprintf(stderr, "cannot write BENCH_FIG1_PIPELINE.json\n");
-  return 0;
+  return bench::all_passed(gates) ? 0 : 1;
 }

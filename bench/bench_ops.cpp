@@ -122,15 +122,48 @@ void BM_Conv2dBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dBackward)->Arg(8)->Arg(16);
 
+// Depthwise over one sample: c channels of hw x hw, kernel k, stride s,
+// pad k / 2. 3x3 s1 on 16x16 is the stem-side geometry, k5 s2 on 8x8x64
+// EfficientNet's served stage, and 18 channels leave a remainder of two
+// after the four-channel blocks.
 void BM_DepthwiseForward(benchmark::State& state) {
-  const auto c = state.range(0);
+  const auto c = state.range(0), k = state.range(1), s = state.range(2),
+             hw = state.range(3);
   Rng rng(5);
-  nn::DepthwiseConv2d dw(c, 3, 1, 1, rng);
-  Tensor x({1, c, 16, 16});
+  nn::DepthwiseConv2d dw(c, k, s, k / 2, rng);
+  Tensor x({1, c, hw, hw});
   rng.fill_uniform(x, -1.0f, 1.0f);
   for (auto _ : state) benchmark::DoNotOptimize(dw.forward(x));
+  set_op_counters(state, c, dw.flops(x.shape()));
 }
-BENCHMARK(BM_DepthwiseForward)->Arg(16)->Arg(64);
+BENCHMARK(BM_DepthwiseForward)
+    ->ArgNames({"c", "k", "s", "hw"})
+    ->Args({16, 3, 1, 16})
+    ->Args({64, 3, 1, 16})
+    ->Args({18, 3, 1, 16})
+    ->Args({64, 5, 2, 8});
+
+// One activation over 12,288 floats, EfficientNet's widest BN + SiLU
+// output (48 x 16 x 16).
+void BM_ActivationSweep(benchmark::State& state) {
+  const auto fn = static_cast<nn::ActFn>(state.range(0));
+  constexpr int64_t n = 12288;
+  Rng rng(11);
+  Tensor x({n});
+  rng.fill_uniform(x, -6.0f, 6.0f);
+  Tensor y(x.shape());
+  for (auto _ : state) {
+    nn::act_sweep(fn, x.data(), n, y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.SetLabel(nn::act_fn_name(fn));
+  set_op_counters(state, n, 0);
+}
+BENCHMARK(BM_ActivationSweep)
+    ->Arg(static_cast<int>(nn::ActFn::kSiLU))
+    ->Arg(static_cast<int>(nn::ActFn::kHardSwish));
 
 void BM_BatchNormForward(benchmark::State& state) {
   Rng rng(6);

@@ -23,6 +23,7 @@
 #include <thread>
 
 #include "fleet/fleet.hpp"
+#include "gate.hpp"
 #include "json.hpp"
 #include "mtl/model_factory.hpp"
 #include "runtime/thread_pool.hpp"
@@ -43,37 +44,17 @@ const sc::ChannelConfig kLan{.bandwidth_bps = 1e9, .base_latency_s = 0.0002};
 
 // -------------------------------------------------------------- reports
 
-struct Gate {
-  std::string name;
-  double value = 0.0;
-  const char* op = "==";
-  double bound = 0.0;
-  std::string verdict;  // pass, fail or not_exercised
-  bool passed() const { return verdict == "pass"; }
-};
-
 struct Report {
   Json metrics;
-  std::vector<Gate> gates;
+  std::vector<bench::Gate> gates;
 
-  /// Declares a gate that passes when `value op bound` holds. Otherwise it
-  /// fails, or, for a gate checking that the scenario provoked the
-  /// condition it names (@p exercise), it is not_exercised.
+  /// Declares a gate (bench::Gate::check).
   void gate(std::string name, double value, const char* op, double bound,
             bool exercise = false) {
-    const std::string o = op;
-    const bool holds = o == "<"    ? value < bound
-                       : o == "<=" ? value <= bound
-                       : o == "==" ? value == bound
-                       : o == ">=" ? value >= bound
-                                   : value > bound;
-    gates.push_back({std::move(name), value, op, bound,
-                     holds ? "pass" : exercise ? "not_exercised" : "fail"});
+    gates.push_back(
+        bench::Gate::check(std::move(name), value, op, bound, exercise));
   }
-  bool ok() const {
-    return std::all_of(gates.begin(), gates.end(),
-                       [](const Gate& g) { return g.passed(); });
-  }
+  bool ok() const { return bench::all_passed(gates); }
 };
 
 // --------------------------------------------------------------- models
@@ -1012,16 +993,10 @@ int main() {
     std::fflush(stdout);
     const Report r = scenario.run(models);
     std::printf("%s\n", r.metrics.dump(0).c_str());
-    for (const Gate& g : r.gates) {
-      std::printf("  %-13s %-40s %s %s %s\n", g.verdict.c_str(),
-                  g.name.c_str(), Json::number(g.value).c_str(), g.op,
-                  Json::number(g.bound).c_str());
-      gates.push({{"name", g.name},
-                  {"value", g.value},
-                  {"op", g.op},
-                  {"bound", g.bound},
-                  {"verdict", g.verdict}});
-      if (g.verdict != "pass") failed.push_back(g.name + " " + g.verdict);
+    for (const bench::Gate& g : r.gates) {
+      g.print();
+      gates.push(g.json());
+      if (!g.passed()) failed.push_back(g.name + " " + g.verdict);
       ++total;
     }
     std::printf("\n");

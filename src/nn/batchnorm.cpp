@@ -14,14 +14,12 @@ void batchnorm_eval_forward(const float* x, int64_t n, int64_t channels,
     for (int64_t c = clo; c < chi; ++c) {
       const float inv_std = 1.0f / std::sqrt(var[c] + eps);
       const float m = mean[c], g = gamma[c], b = beta[c];
-      with_act(act, [&](auto f) {
-        for (int64_t i = 0; i < n; ++i) {
-          const float* p = x + (i * channels + c) * plane;
-          float* o = y + (i * channels + c) * plane;
-          for (int64_t j = 0; j < plane; ++j)
-            o[j] = nn::act(f, g * (p[j] - m) * inv_std + b);
-        }
-      });
+      for (int64_t i = 0; i < n; ++i) {
+        const float* p = x + (i * channels + c) * plane;
+        float* o = y + (i * channels + c) * plane;
+        for (int64_t j = 0; j < plane; ++j) o[j] = g * (p[j] - m) * inv_std + b;
+        act_sweep(act, o, plane, o);
+      }
     }
   });
 }

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <vector>
 
+#if defined(__SSE2__)
+#include <xmmintrin.h>
+#endif
+
 #include "nn/init.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/workspace.hpp"
@@ -27,6 +31,78 @@ ConvGeom make_geom(int64_t c, int64_t h, int64_t w, int64_t k, int64_t stride,
   return g;
 }
 
+#if defined(__SSE2__)
+constexpr bool kBlockChannels = true;
+
+/// q[4 * i + l] = p[l * stride + i] for i < len, l < 4: four planes
+/// interleaved lane by lane.
+void interleave4(const float* p, int64_t stride, int64_t len, float* q) {
+  int64_t i = 0;
+  for (; i + 4 <= len; i += 4) {
+    __m128 r0 = _mm_loadu_ps(p + i), r1 = _mm_loadu_ps(p + stride + i);
+    __m128 r2 = _mm_loadu_ps(p + 2 * stride + i);
+    __m128 r3 = _mm_loadu_ps(p + 3 * stride + i);
+    _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+    _mm_storeu_ps(q + 4 * i, r0);
+    _mm_storeu_ps(q + 4 * i + 4, r1);
+    _mm_storeu_ps(q + 4 * i + 8, r2);
+    _mm_storeu_ps(q + 4 * i + 12, r3);
+  }
+  for (; i < len; ++i)
+    for (int64_t l = 0; l < 4; ++l) q[4 * i + l] = p[l * stride + i];
+}
+
+/// The inverse of interleave4: p[l * stride + i] = q[4 * i + l].
+void deinterleave4(const float* q, int64_t len, float* p, int64_t stride) {
+  int64_t i = 0;
+  for (; i + 4 <= len; i += 4) {
+    __m128 r0 = _mm_loadu_ps(q + 4 * i), r1 = _mm_loadu_ps(q + 4 * i + 4);
+    __m128 r2 = _mm_loadu_ps(q + 4 * i + 8);
+    __m128 r3 = _mm_loadu_ps(q + 4 * i + 12);
+    _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+    _mm_storeu_ps(p + i, r0);
+    _mm_storeu_ps(p + stride + i, r1);
+    _mm_storeu_ps(p + 2 * stride + i, r2);
+    _mm_storeu_ps(p + 3 * stride + i, r3);
+  }
+  for (; i < len; ++i)
+    for (int64_t l = 0; l < 4; ++l) p[l * stride + i] = q[4 * i + l];
+}
+
+/// Depthwise over four consecutive channels: input planes @p x (@p hw
+/// apart), kernels @p w (@p kk apart), biases @p b (or null), output
+/// planes @p y (@p ohw apart). The planes and kernels are interleaved in
+/// the thread's kDepthwise workspace so that one multiply and one add
+/// apply a tap to all four channels; each lane sums the bias and then the
+/// taps of tap table @p tt in order, exactly as the one-channel loop does.
+void depthwise_block4(const int32_t* tt, const float* x, int64_t hw,
+                      const float* w, int64_t kk, const float* b, int64_t ohw,
+                      float* y) {
+  float* xi = runtime::tls_workspace().floats(runtime::Workspace::kDepthwise,
+                                              4 * (hw + kk + ohw));
+  float* wi = xi + 4 * hw;
+  float* yi = wi + 4 * kk;
+  interleave4(x, hw, hw, xi);
+  interleave4(w, kk, kk, wi);
+  const __m128 bias = b != nullptr ? _mm_loadu_ps(b) : _mm_setzero_ps();
+  const int32_t* t = tt;
+  for (int64_t o = 0; o < ohw; ++o) {
+    __m128 acc = bias;
+    const int32_t cnt = *t++;
+    for (int32_t m = 0; m < cnt; ++m, t += 2)
+      acc = _mm_add_ps(acc, _mm_mul_ps(_mm_loadu_ps(wi + 4 * t[0]),
+                                       _mm_loadu_ps(xi + 4 * t[1])));
+    _mm_storeu_ps(yi + 4 * o, acc);
+  }
+  deinterleave4(yi, ohw, y, ohw);
+}
+#else
+constexpr bool kBlockChannels = false;  // every channel takes the scalar loop
+
+void depthwise_block4(const int32_t*, const float*, int64_t, const float*,
+                      int64_t, const float*, int64_t, float*) {}
+#endif
+
 }  // namespace
 
 // ------------------------------------------------------------------ kernels
@@ -48,18 +124,14 @@ void conv2d_forward(const float* x, int64_t n, const ConvGeom& g,
       im2col(x + i * in_stride, g, cols);
       float* yi = y + i * out_c * ohw;
       ops::detail::gemm(out_c, ohw, fan_in, w, cols, yi);
-      with_act(act, [&](auto f) {
-        for (int64_t c = 0; c < out_c; ++c) {
-          float* plane = yi + c * ohw;
-          if (b != nullptr) {
-            const float bc = b[c];
-            for (int64_t j = 0; j < ohw; ++j)
-              plane[j] = nn::act(f, plane[j] + bc);
-          } else if (f != ActFn::kNone) {
-            for (int64_t j = 0; j < ohw; ++j) plane[j] = nn::act(f, plane[j]);
-          }
+      for (int64_t c = 0; c < out_c; ++c) {
+        float* plane = yi + c * ohw;
+        if (b != nullptr) {
+          const float bc = b[c];
+          for (int64_t j = 0; j < ohw; ++j) plane[j] += bc;
         }
-      });
+        act_sweep(act, plane, ohw, plane);
+      }
     }
   });
 }
@@ -96,25 +168,35 @@ void depthwise_conv2d_forward(const float* x, int64_t n, const ConvGeom& g,
       tt[cnt_at] = cnt;
     }
   }
-  // One (sample, channel) plane per work item: all writes are disjoint.
-  runtime::parallel_for(0, n * channels, 4, [&](int64_t lo, int64_t hi) {
-    with_act(act, [&](auto f) {
-      for (int64_t p = lo; p < hi; ++p) {
-        const int64_t c = p % channels;
-        const float* plane = x + p * h * wd;
-        const float* kern = w + c * k * k;
-        float* oplane = y + p * oh * ow;
+  const int64_t kk = k * k, hw = h * wd, ohw = oh * ow;
+  // Work items per sample: the blocks of four channels, then the
+  // leftover channels one plane each. All writes are disjoint.
+  const int64_t blocks = kBlockChannels ? channels / 4 : 0;
+  const int64_t items = blocks + channels - 4 * blocks;
+  runtime::parallel_for(0, n * items, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t it = lo; it < hi; ++it) {
+      const int64_t i = it / items, j = it % items;
+      const int64_t c = j < blocks ? 4 * j : 4 * blocks + (j - blocks);
+      const float* xc = x + (i * channels + c) * hw;
+      float* yc = y + (i * channels + c) * ohw;
+      if (j < blocks) {
+        depthwise_block4(tt, xc, hw, w + c * kk, kk,
+                         b != nullptr ? b + c : nullptr, ohw, yc);
+      } else {
+        const float* kern = w + c * kk;
         const float bc = b != nullptr ? b[c] : 0.0f;
         const int32_t* t = tt;
-        for (int64_t o = 0; o < oh * ow; ++o) {
+        for (int64_t o = 0; o < ohw; ++o) {
           float acc = bc;
           const int32_t cnt = *t++;
-          for (int32_t j = 0; j < cnt; ++j, t += 2)
-            acc += kern[t[0]] * plane[t[1]];
-          oplane[o] = nn::act(f, acc);
+          for (int32_t m = 0; m < cnt; ++m, t += 2)
+            acc += kern[t[0]] * xc[t[1]];
+          yc[o] = acc;
         }
       }
-    });
+      // A block's four output planes are contiguous: one sweep covers them.
+      act_sweep(act, yc, (j < blocks ? 4 : 1) * ohw, yc);
+    }
   });
 }
 

@@ -6,14 +6,16 @@
 // it, trading a little compute for a large activation-memory saving.
 // DepthwiseConv2d (one filter per channel, the MobileNet/EfficientNet
 // workhorse) skips im2col — its arithmetic intensity is too low for it to
-// pay off — and replays a table of in-bounds taps per output position.
+// pay off — and replays a table of in-bounds taps per output position,
+// for four channels at once where the target has SSE2.
 //
 // Execution (DESIGN.md §7): both forwards parallelize on the runtime
 // thread pool — conv over samples, with the im2col patch matrix living in
 // each lane's persistent thread-local Workspace (no per-sample
-// allocation), depthwise over (sample, channel) planes. Weight and bias
-// gradients are reduced in sample order from independently computed
-// partials, so training is bit-reproducible for any MTLSPLIT_NUM_THREADS.
+// allocation), depthwise over (sample, four-channel block) items. Weight
+// and bias gradients are reduced in sample order from independently
+// computed partials, so training is bit-reproducible for any
+// MTLSPLIT_NUM_THREADS.
 #pragma once
 
 #include <vector>
@@ -36,7 +38,8 @@ void conv2d_forward(const float* x, int64_t n, const ConvGeom& g,
 /// written as [n, g.in_c, g.out_h(), g.out_w()]. @p w is [g.in_c, k*k];
 /// @p b is [g.in_c] or null. Each output sums its in-bounds taps in
 /// (kh, kw) order, starting from the bias. @p taps is the caller's scratch
-/// for the tap table, grown as needed.
+/// for the tap table, grown as needed; blocks of four channels are
+/// interleaved in the thread's Workspace::kDepthwise slot.
 void depthwise_conv2d_forward(const float* x, int64_t n, const ConvGeom& g,
                               const float* w, const float* b, ActFn act,
                               std::vector<int32_t>& taps, float* y);

@@ -9,16 +9,12 @@ namespace mtlsplit::nn {
 void linear_forward(const float* x, int64_t n, int64_t in, int64_t out,
                     const float* w, const float* b, ActFn act, float* y) {
   ops::detail::gemm_nt(n, in, out, x, w, y);
-  with_act(act, [&](auto f) {
-    for (int64_t i = 0; i < n; ++i) {
-      float* row = y + i * out;
-      if (b != nullptr) {
-        for (int64_t j = 0; j < out; ++j) row[j] = nn::act(f, row[j] + b[j]);
-      } else if (f != ActFn::kNone) {
-        for (int64_t j = 0; j < out; ++j) row[j] = nn::act(f, row[j]);
-      }
-    }
-  });
+  for (int64_t i = 0; i < n; ++i) {
+    float* row = y + i * out;
+    if (b != nullptr)
+      for (int64_t j = 0; j < out; ++j) row[j] += b[j];
+    act_sweep(act, row, out, row);
+  }
 }
 
 Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng,

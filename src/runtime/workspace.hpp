@@ -29,6 +29,7 @@ class Workspace {
     kGemmOperand,     ///< transposed/packed GEMM input
     kConvScratch,     ///< conv backward column gradients
     kReduce,          ///< per-chunk partial reductions
+    kDepthwise,       ///< depthwise channel block, lane-interleaved
     kSlotCount
   };
 

@@ -1,13 +1,16 @@
 // Activation layers: reference values, derivative checks (analytic vs
 // finite differences), shape preservation. Parameterised across all five
-// activation kinds. Also pins the fused activation epilogue of every
+// activation kinds. Also pins the four-lane sweep to the scalar act(),
+// exp_poly to libm's expf, and the fused activation epilogue of every
 // kernel that takes one to a separate activation sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -70,6 +73,131 @@ TEST(SiLU, MatchesXTimesSigmoid) {
   const Tensor y = silu.forward(x);
   for (int64_t i = 0; i < x.numel(); ++i)
     EXPECT_NEAR(y[i], x[i] / (1.0f + std::exp(-x[i])), 1e-5f);
+}
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+constexpr nn::ActFn kAllFns[] = {
+    nn::ActFn::kNone,        nn::ActFn::kReLU,      nn::ActFn::kSigmoid,
+    nn::ActFn::kHardSigmoid, nn::ActFn::kHardSwish, nn::ActFn::kSiLU};
+
+/// Position of @p f on the number line in float steps, so that the ULP
+/// distance of two finite floats is the difference of their positions.
+int64_t ulp_pos(float f) {
+  const auto i = std::bit_cast<int32_t>(f);
+  return i < 0 ? int64_t{std::numeric_limits<int32_t>::min()} - i : i;
+}
+
+float at_ulp_pos(int64_t pos) {
+  return std::bit_cast<float>(static_cast<int32_t>(
+      pos < 0 ? int64_t{std::numeric_limits<int32_t>::min()} - pos : pos));
+}
+
+// Every lane of the sweep, vector or tail, aligned or not, in place or
+// not, must hold exactly the bytes act() gives for its element, and the
+// sweep must write nothing outside its row.
+TEST(ActSweep, EqualsScalarActForEveryFunction) {
+  std::vector<float> src = {
+      0.0f, -0.0f, 3.0f, -3.0f, std::numeric_limits<float>::denorm_min(),
+      -1e-40f, 87.5f, -87.5f, 88.8f, -88.8f, 104.0f, -104.0f, kInf, -kInf,
+      kNan, -kNan, std::nextafter(3.0f, 0.0f), std::nextafter(-3.0f, 0.0f)};
+  Rng rng(5);
+  Tensor noise({8});
+  rng.fill_uniform(noise, -6.0f, 6.0f);
+  src.insert(src.end(), noise.data(), noise.data() + noise.numel());
+  constexpr int64_t kMaxLen = 19, kPad = 4;
+  const auto n_src = static_cast<int64_t>(src.size());
+  std::vector<float> x(kMaxLen + 2 * kPad), y(x.size()), want(x.size());
+  for (nn::ActFn fn : kAllFns) {
+    for (int64_t off = 0; off < 4; ++off) {
+      for (int64_t len = 0; len <= kMaxLen; ++len) {
+        for (int64_t rot = 0; rot < n_src; ++rot) {
+          std::fill(y.begin(), y.end(), -7.0f);
+          want = y;
+          for (int64_t i = 0; i < len; ++i) {
+            const float v = src[static_cast<size_t>((i + rot) % n_src)];
+            x[static_cast<size_t>(off + i)] = v;
+            want[static_cast<size_t>(off + i)] = nn::act(fn, v);
+          }
+          const size_t bytes = y.size() * sizeof(float);
+          nn::act_sweep(fn, x.data() + off, len, y.data() + off);
+          ASSERT_EQ(std::memcmp(y.data(), want.data(), bytes), 0)
+              << nn::act_fn_name(fn) << " off " << off << " len " << len
+              << " rot " << rot;
+          // In place: the row is both input and output.
+          std::copy(x.begin() + off, x.begin() + off + len, y.begin() + off);
+          nn::act_sweep(fn, y.data() + off, len, y.data() + off);
+          ASSERT_EQ(std::memcmp(y.data(), want.data(), bytes), 0)
+              << nn::act_fn_name(fn) << " in place, off " << off << " len "
+              << len << " rot " << rot;
+        }
+      }
+    }
+  }
+}
+
+// DESIGN.md §6 bounds exp_poly at 1 ULP from libm's expf on
+// [ln FLT_MIN, ln FLT_MAX]; an exhaustive run over every float of the
+// range measured 1. Every 613th float keeps the sweep to ~3.7M calls.
+TEST(ExpPoly, WithinOneUlpOfLibmOnItsRange) {
+  int64_t worst = 0;
+  float worst_x = 0.0f;
+  for (int64_t pos = ulp_pos(-87.33f); pos <= ulp_pos(88.72f); pos += 613) {
+    const float x = at_ulp_pos(pos);
+    const int64_t d =
+        std::abs(ulp_pos(nn::exp_poly(x)) - ulp_pos(std::exp(x)));
+    if (d > worst) {
+      worst = d;
+      worst_x = x;
+    }
+  }
+  EXPECT_LE(worst, 1) << "at x = " << worst_x;
+  EXPECT_EQ(nn::exp_poly(0.0f), 1.0f);
+  EXPECT_EQ(nn::exp_poly(-0.0f), 1.0f);
+}
+
+TEST(ExpPoly, SaturatesLikeLibm) {
+  // ln(FLT_MAX) = 88.72283905...: the next float up overflows, the one
+  // below it does not.
+  const float ln_max = 88.72283905f;
+  EXPECT_EQ(std::exp(std::nextafter(ln_max, kInf)), kInf);
+  for (float x : {std::nextafter(ln_max, kInf), 88.8f, 89.0f, 104.0f, 1e30f,
+                  kInf})
+    EXPECT_EQ(nn::exp_poly(x), kInf) << x;
+  const float below = std::nextafter(ln_max, 0.0f);
+  EXPECT_TRUE(std::isfinite(nn::exp_poly(below)));
+  EXPECT_LE(std::abs(ulp_pos(nn::exp_poly(below)) - ulp_pos(std::exp(below))),
+            1);
+  // Below ln(FLT_MIN) the result rounds once into the denormals and
+  // reaches +0 where expf does.
+  for (float x : {-104.0f, -110.0f, -1e30f, -kInf})
+    EXPECT_EQ(std::bit_cast<uint32_t>(nn::exp_poly(x)), 0u) << x;
+  EXPECT_GT(nn::exp_poly(-103.0f), 0.0f);
+  EXPECT_TRUE(std::isnan(nn::exp_poly(kNan)));
+  EXPECT_TRUE(std::isnan(nn::exp_poly(-kNan)));
+}
+
+// Pins Sigmoid and SiLU at the non-finite inputs. exp_poly saturates to
+// +inf and +0 exactly as expf does, so each value is what the libm
+// formula gives, including SiLU(-inf) = -inf / (1 + inf) = NaN.
+TEST(SigmoidSiLU, NonFiniteInputs) {
+  const auto libm_sigmoid = [](float x) {
+    return 1.0f / (1.0f + std::exp(-x));
+  };
+  const auto libm_silu = [](float x) { return x / (1.0f + std::exp(-x)); };
+  const auto same = [](float a, float b) {
+    return a == b || (std::isnan(a) && std::isnan(b));
+  };
+  EXPECT_EQ(nn::act(nn::ActFn::kSigmoid, kInf), 1.0f);
+  EXPECT_EQ(nn::act(nn::ActFn::kSigmoid, -kInf), 0.0f);
+  EXPECT_TRUE(std::isnan(nn::act(nn::ActFn::kSigmoid, kNan)));
+  EXPECT_EQ(nn::act(nn::ActFn::kSiLU, kInf), kInf);
+  EXPECT_TRUE(std::isnan(nn::act(nn::ActFn::kSiLU, -kInf)));
+  EXPECT_TRUE(std::isnan(nn::act(nn::ActFn::kSiLU, kNan)));
+  for (float x : {kInf, -kInf, kNan}) {
+    EXPECT_TRUE(same(nn::act(nn::ActFn::kSigmoid, x), libm_sigmoid(x))) << x;
+    EXPECT_TRUE(same(nn::act(nn::ActFn::kSiLU, x), libm_silu(x))) << x;
+  }
 }
 
 // Parameterised gradient check across every activation kind.

@@ -37,6 +37,7 @@ Tensor naive_conv(const Tensor& x, const Tensor& w_mat, const Tensor& bias,
 
 struct ConvParam {
   int64_t in_c, out_c, k, stride, pad, h, w;
+  int64_t batch = 2;
 };
 
 class ConvForward : public ::testing::TestWithParam<ConvParam> {};
@@ -93,6 +94,8 @@ Tensor naive_depthwise(const Tensor& x, const Tensor& w_mat,
 }
 
 // in_c is the channel count; out_c is unused (a depthwise conv keeps it).
+// Channel counts of 4 and more run blocks of four channels, and the rest
+// one channel at a time; both must match the reference bit for bit.
 class DepthwiseForward : public ::testing::TestWithParam<ConvParam> {};
 
 TEST_P(DepthwiseForward, MatchesNaiveReference) {
@@ -101,7 +104,7 @@ TEST_P(DepthwiseForward, MatchesNaiveReference) {
     Rng rng(static_cast<uint64_t>(p.in_c * 100 + p.k * 10 + p.stride));
     nn::DepthwiseConv2d dw(p.in_c, p.k, p.stride, p.pad, rng, with_bias);
     if (with_bias) rng.fill_uniform(dw.bias().value, -1.0f, 1.0f);
-    Tensor x({2, p.in_c, p.h, p.w});
+    Tensor x({p.batch, p.in_c, p.h, p.w});
     rng.fill_uniform(x, -1.0f, 1.0f);
     const Tensor got = dw.forward(x);
     const Tensor want =
@@ -120,7 +123,17 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvParam{3, 3, 3, 1, 1, 6, 6},
                       ConvParam{2, 2, 5, 2, 2, 9, 9},
                       ConvParam{4, 4, 3, 2, 1, 7, 5},
-                      ConvParam{3, 3, 5, 1, 2, 6, 8}));
+                      ConvParam{3, 3, 5, 1, 2, 6, 8},
+                      // A block of four plus a remainder of 1, 3 and 1.
+                      ConvParam{5, 5, 3, 1, 1, 6, 6},
+                      ConvParam{7, 7, 3, 2, 1, 7, 7},
+                      ConvParam{9, 9, 5, 1, 2, 6, 5},
+                      // Planes where every output is a border output.
+                      ConvParam{6, 6, 3, 1, 1, 2, 2},
+                      ConvParam{5, 5, 3, 1, 1, 1, 1},
+                      // EfficientNet's k5 s2 p2 stage on 8x8.
+                      ConvParam{8, 8, 5, 2, 2, 8, 8},
+                      ConvParam{6, 6, 3, 2, 1, 5, 5, /*batch=*/3}));
 
 TEST(Conv2d, OutputShapeAndFlops) {
   Rng rng(1);

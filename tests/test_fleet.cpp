@@ -315,8 +315,15 @@ TEST(FleetChaos, NonIdempotentRequestGetsTypedNodeFailedError) {
   // Kill first, submit second: the requests are guaranteed black-holed,
   // so their settlement is decided entirely by the failover policy.
   router.kill_node(victim);
-  auto f_nonidem = router.submit(rig.input(1), {.base = {.client_id = victim_client},
-                                                .idempotent = false});
+  // Shared, so this thread keeps a reference to the stored exception
+  // while the catch block below reads it. With a plain future, get()
+  // drops this thread's reference and the prober thread may free the
+  // exception through libstdc++'s refcount, whose atomics TSan does not
+  // see: it then reports the read as a race.
+  auto f_nonidem =
+      router.submit(rig.input(1), {.base = {.client_id = victim_client},
+                                   .idempotent = false})
+          .share();
   auto f_idem = router.submit(rig.input(2), {.base = {.client_id = victim_client},
                                              .idempotent = true});
   auto f_other = router.submit(rig.input(3), {.base = {.client_id = other_client}});

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <thread>
 
 #include "graph/executor.hpp"
