@@ -31,6 +31,7 @@
 
 using namespace mtlsplit;
 using bench::Json;
+using bench::Report;
 using Clock = std::chrono::steady_clock;
 
 namespace {
@@ -41,21 +42,6 @@ constexpr int64_t kImage = 16;
 
 /// The link every scenario but the wire sweep serves over.
 const sc::ChannelConfig kLan{.bandwidth_bps = 1e9, .base_latency_s = 0.0002};
-
-// -------------------------------------------------------------- reports
-
-struct Report {
-  Json metrics;
-  std::vector<bench::Gate> gates;
-
-  /// Declares a gate (bench::Gate::check).
-  void gate(std::string name, double value, const char* op, double bound,
-            bool exercise = false) {
-    gates.push_back(
-        bench::Gate::check(std::move(name), value, op, bound, exercise));
-  }
-  bool ok() const { return bench::all_passed(gates); }
-};
 
 // --------------------------------------------------------------- models
 

@@ -58,4 +58,18 @@ inline bool all_passed(const std::vector<Gate>& gates) {
                      [](const Gate& g) { return g.passed(); });
 }
 
+/// What one scenario of a scenario-table bench returns: its metrics,
+/// nested under the JSON keys they fill, and its named gates.
+struct Report {
+  Json metrics;
+  std::vector<Gate> gates;
+
+  /// Declares a gate (Gate::check).
+  void gate(std::string name, double value, const char* op, double bound,
+            bool exercise = false) {
+    gates.push_back(Gate::check(std::move(name), value, op, bound, exercise));
+  }
+  bool ok() const { return all_passed(gates); }
+};
+
 }  // namespace mtlsplit::bench

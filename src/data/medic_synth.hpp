@@ -8,10 +8,11 @@
 //  * disaster type selects a palette/texture program (fire glow blobs,
 //    flood wave bands, earthquake rubble blocks, hurricane swirl streaks);
 //  * damage severity controls the density of dark "debris" patches;
-//  * heavy pixel noise plus label noise pin test accuracies into the
-//    50-65 % band the paper reports, which is the regime Table 2 probes
-//    (small MTL deltas, occasional tiny negative transfer from gradient
-//    fluctuation).
+//  * pixel noise plus label noise make both tasks hard. At the defaults
+//    (pixel_noise 0.35, label_noise 0.4) the 16x16 edge models memorise
+//    the label noise while damage-severity test accuracy stays at chance;
+//    bench_paper's Table 2 and loss-weighting scenarios lower them to 0.05
+//    and 0.2 so that every model learns both tasks (DESIGN.md §2).
 #pragma once
 
 #include "data/dataset.hpp"

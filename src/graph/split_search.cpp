@@ -1,5 +1,7 @@
 #include "graph/split_search.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "sc/quantize.hpp"
@@ -113,6 +115,67 @@ void retime(SplitSearchResult& result, const SplitCostModel& cost) {
     time_candidate(c, cost);
   }
   pick_best(result);
+}
+
+size_t select_split_min_size(const std::vector<SplitCandidate>& frontier) {
+  check_arg(frontier.size() > 1, "select_split_min_size: need cuts beyond 0");
+  size_t best = 1;
+  for (size_t k = 2; k < frontier.size(); ++k)
+    if (frontier[k].cut_elems < frontier[best].cut_elems) best = k;
+  return best;
+}
+
+std::vector<double> layer_saliency(nn::Sequential& backbone, const Tensor& x,
+                                   const Tensor& grad_out) {
+  // Forward through each layer (populating the backward caches), then walk
+  // the gradient back one layer at a time, recording its mean magnitude at
+  // every boundary.
+  const size_t n = backbone.size();
+  Tensor h = x;
+  for (size_t i = 0; i < n; ++i) h = backbone.layer(i).forward(h);
+  check_arg(grad_out.shape() == h.shape(),
+            "layer_saliency: gradient shape mismatch");
+
+  std::vector<double> saliency(n + 1, 0.0);
+  Tensor g = grad_out;
+  auto mean_abs = [](const Tensor& t) {
+    double acc = 0.0;
+    for (float v : t.span()) acc += std::abs(static_cast<double>(v));
+    return t.numel() > 0 ? acc / static_cast<double>(t.numel()) : 0.0;
+  };
+  saliency[n] = mean_abs(g);
+  for (size_t i = n; i-- > 0;) {
+    g = backbone.layer(i).backward(g);
+    saliency[i] = mean_abs(g);
+  }
+  return saliency;
+}
+
+size_t select_split_saliency(const std::vector<SplitCandidate>& frontier,
+                             const std::vector<double>& saliency,
+                             double size_slack) {
+  check_arg(frontier.size() == saliency.size(),
+            "select_split_saliency: frontier/saliency size mismatch");
+  check_arg(frontier.size() > 1, "select_split_saliency: need cuts beyond 0");
+  check_arg(size_slack >= 1.0, "select_split_saliency: slack must be >= 1");
+
+  int64_t min_elems = std::numeric_limits<int64_t>::max();
+  for (size_t k = 1; k < frontier.size(); ++k)
+    min_elems = std::min(min_elems, frontier[k].cut_elems);
+
+  size_t best = 0;
+  double best_saliency = std::numeric_limits<double>::infinity();
+  for (size_t k = 1; k < frontier.size(); ++k) {
+    if (static_cast<double>(frontier[k].cut_elems) >
+        size_slack * static_cast<double>(min_elems))
+      continue;
+    if (saliency[k] < best_saliency) {
+      best_saliency = saliency[k];
+      best = k;
+    }
+  }
+  check_arg(best != 0, "select_split_saliency: no cut within size slack");
+  return best;
 }
 
 }  // namespace mtlsplit::graph

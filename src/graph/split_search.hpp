@@ -1,17 +1,28 @@
-// Automatic split-point search over a Sequential backbone (DESIGN.md §10).
+// Split-point search over a Sequential backbone (DESIGN.md §10): the one
+// enumerator of cuts and the one cut cost model.
 //
-// sc/partition.hpp enumerates cuts and scores them with single-heuristic
-// selectors (min-size, Neurosurgeon latency, saliency). This module is the
-// compiler-side generalisation: every candidate boundary is costed with the
-// full deployment model — edge FLOPs, *actual* wire bytes through the
-// configured encoding + wire codec (measured by pushing a probe activation
-// through quantise/serialise/encode), and server FLOPs including the task
-// heads — and the whole (edge_s, wire_s, server_s) frontier is kept, not
-// just one winner. From the frontier a caller can ask for the best serial
-// cut (min edge+wire+server, Neurosurgeon's objective) or the best
-// *pipelined* cut (min max-stage, the steady-state bound of
-// ScDeployment::infer_stream's three-stage pipeline) at any link bandwidth,
-// instead of hard-coding the backbone/heads boundary.
+// Every candidate boundary is costed with the full deployment model — edge
+// FLOPs, *actual* wire bytes through the configured encoding + wire codec
+// (measured by pushing a probe activation through quantise/serialise/
+// encode), and server FLOPs including the task heads — and the whole
+// (edge_s, wire_s, server_s) frontier is kept, not just one winner. Three
+// selectors read the frontier, after the heuristic families of the
+// paper's §2.1:
+//
+//  * latency-based (Kang et al., Neurosurgeon [15]): best_serial, the cut
+//    with minimal edge + wire + server time, and best_pipelined, the cut
+//    with the smallest slowest stage (the steady-state bound of
+//    ScDeployment::infer_stream's three-stage pipeline), at any link
+//    bandwidth via retime();
+//  * architecture-based (Sbai et al. [24]): select_split_min_size, the
+//    cut where the transmitted tensor is smallest;
+//  * saliency-based (I-Split, Cunico et al. [8]): select_split_saliency,
+//    the cut after which the least gradient magnitude flows
+//    (layer_saliency), among cuts not much larger than the smallest.
+//
+// MTL-Split itself fixes the cut at the backbone/heads boundary (Z_b, the
+// `handpicked` cut); the frontier quantifies what that choice costs
+// relative to any other cut.
 #pragma once
 
 #include <string>
@@ -91,5 +102,22 @@ SplitSearchResult search_split_point(nn::Sequential& backbone,
 /// best indices — no model forward, no re-probing. Wire bytes are kept
 /// as measured/estimated by the original search.
 void retime(SplitSearchResult& result, const SplitCostModel& cost);
+
+/// Architecture-based choice: the cut with the fewest transmitted elements
+/// (ties broken toward the earlier cut; cut 0, pure RoC, is excluded).
+size_t select_split_min_size(const std::vector<SplitCandidate>& frontier);
+
+/// Mean |gradient| observed at each layer boundary (size() + 1 entries,
+/// entry k = gradient entering layer k's input) for input @p x and output
+/// gradient @p grad_out. Runs a real forward + per-layer backward.
+std::vector<double> layer_saliency(nn::Sequential& backbone, const Tensor& x,
+                                   const Tensor& grad_out);
+
+/// I-Split-style choice: among cuts whose transmitted size is within
+/// @p size_slack x the minimum, pick the one with the lowest boundary
+/// saliency (cutting where little decision-critical signal flows).
+size_t select_split_saliency(const std::vector<SplitCandidate>& frontier,
+                             const std::vector<double>& saliency,
+                             double size_slack = 4.0);
 
 }  // namespace mtlsplit::graph

@@ -2,7 +2,7 @@
 //
 // The paper's Eq. 4 is the plain unweighted sum; it cites Kendall et al.'s
 // uncertainty weighting [16] as the loss-function line of MTL work. Both
-// are provided, and bench_ablation_lossw compares them.
+// are provided, and bench_paper's lossw scenario compares them.
 //
 // Uncertainty weighting learns one log-variance s_j per task and optimises
 //   L_total = sum_j ( exp(-s_j) * L_j + s_j )

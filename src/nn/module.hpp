@@ -54,7 +54,7 @@ class Module {
   virtual std::vector<Tensor*> buffers() { return {}; }
 
   /// Output shape for a given input shape, without running forward().
-  /// Used by the analytic model profiler (Table 4) and the SC partitioner.
+  /// Used by the analytic model profiler (Table 4) and the split search.
   virtual Shape output_shape(const Shape& in) const = 0;
 
   /// Short type tag for diagnostics and profiling rows, e.g. "Conv2d".

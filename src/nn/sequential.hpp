@@ -1,8 +1,8 @@
 // Sequential container: runs child modules in order.
 //
-// Also the unit of split-computing partitioning: Sequential::split_point
-// views let the SC layer cut a backbone after any child (sc/partition.hpp
-// sweeps these cut points in the ablation bench).
+// Also the unit of split computing: the prefix shape and FLOP queries let
+// graph::search_split_point (graph/split_search.hpp) cost a cut after any
+// child.
 #pragma once
 
 #include <memory>
@@ -52,7 +52,7 @@ class Sequential final : public Module {
 
   size_t size() const { return layers_.size(); }
   /// Human-readable, position-unique name for layer @p i, e.g. "Conv2d_3".
-  /// This is what partition boundaries and graph dumps print — the bare
+  /// This is what split-search candidates and graph dumps print — the bare
   /// type name repeats (a VGG stack is mostly "Conv2d"), the label doesn't.
   std::string layer_label(size_t i) const {
     return layer(i).name() + "_" + std::to_string(i);

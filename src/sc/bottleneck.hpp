@@ -4,8 +4,8 @@
 //
 // MTL-Split's Z_b is already compact, but a learned linear bottleneck can
 // shrink it further: the edge ships the K-dim code instead of the D-dim
-// feature. bench_ablation_bottleneck trains one on real backbone features
-// and measures bytes vs task accuracy.
+// feature. bench_paper's bottleneck scenario trains one on real backbone
+// features and measures bytes vs task accuracy.
 #pragma once
 
 #include "nn/linear.hpp"

@@ -1,7 +1,7 @@
 // Affine int8 quantisation of the shared feature Z_b — the in-model
 // compression extension the SC literature applies before transmission
-// (paper §2.1 cites Li et al. [17]); bench_ablation_quant measures the
-// bytes-vs-accuracy trade-off it buys on top of MTL-Split.
+// (paper §2.1 cites Li et al. [17]); bench_paper's quant scenario measures
+// the bytes-vs-accuracy trade-off it buys on top of MTL-Split.
 //
 //   q = clamp(round(x / scale) + zero_point, -128, 127)
 //   x' = (q - zero_point) * scale

@@ -456,5 +456,146 @@ TEST(SplitSearch, RetimeMovesTheBestCutWithBandwidth) {
   for (const auto& c : r.frontier) EXPECT_GT(c.wire_s, 0.0);
 }
 
+// Cut enumeration, the cut cost model and the three selectors.
+
+graph::SplitCostModel jetson_to_rtx(double bandwidth_bps) {
+  graph::SplitCostModel cost;
+  cost.edge = sc::jetson_nano();
+  cost.server = sc::rtx3090_server();
+  cost.bandwidth_bps = bandwidth_bps;
+  return cost;
+}
+
+TEST(SplitSearch, EnumeratesEveryCut) {
+  Rng rng(1);
+  auto bb = edge_backbone(models::BackboneKind::kVgg16, rng);
+  const Shape in{1, 3, 20, 20};
+  const auto f = graph::search_split_point(*bb, in, jetson_to_rtx(1e9))
+                     .frontier;
+  ASSERT_EQ(f.size(), bb->size() + 1);
+  for (size_t k = 0; k < f.size(); ++k) EXPECT_EQ(f[k].index, k);
+  // Cut 0 is the raw input (RoC-like).
+  EXPECT_EQ(f[0].label, "input");
+  EXPECT_EQ(f[0].cut_elems, 3 * 20 * 20);
+  EXPECT_EQ(f[0].edge_flops, 0);
+  // The final cut ships the flattened Z_b and leaves no backbone work
+  // remote.
+  EXPECT_EQ(f.back().server_flops, 0);
+  EXPECT_EQ(f.back().cut_shape, bb->output_shape(in));
+}
+
+TEST(SplitSearch, FlopsConserveAcrossCuts) {
+  Rng rng(2);
+  auto bb = edge_backbone(models::BackboneKind::kMobileNetV3, rng);
+  const Shape in{1, 3, 20, 20};
+  graph::SplitCostModel cost = jetson_to_rtx(1e9);
+  cost.server_extra_flops = 1000;  // the heads always run server-side
+  const int64_t total = bb->flops(in) + cost.server_extra_flops;
+  for (const auto& c : graph::search_split_point(*bb, in, cost).frontier)
+    EXPECT_EQ(c.edge_flops + c.server_flops, total);
+}
+
+TEST(SplitSearch, MinSizeSelectionIsTrueMinimum) {
+  Rng rng(3);
+  auto bb = edge_backbone(models::BackboneKind::kEfficientNet, rng);
+  const auto f =
+      graph::search_split_point(*bb, {1, 3, 20, 20}, jetson_to_rtx(1e9))
+          .frontier;
+  const size_t best = graph::select_split_min_size(f);
+  EXPECT_GT(best, 0u);
+  for (size_t k = 1; k < f.size(); ++k)
+    EXPECT_LE(f[best].cut_elems, f[k].cut_elems);
+  // Deep nets compress: the chosen cut beats shipping the raw input.
+  EXPECT_LT(f[best].cut_elems, f[0].cut_elems);
+}
+
+TEST(SplitSearch, BestSerialIsArgminOnSlowChannel) {
+  Rng rng(4);
+  auto bb = edge_backbone(models::BackboneKind::kMobileNetV3, rng);
+  const auto r =
+      graph::search_split_point(*bb, {1, 3, 20, 20}, jetson_to_rtx(1e6));
+  EXPECT_GT(r.best_serial, 0u);
+  const double best = r.frontier[r.best_serial].serial_s();
+  for (size_t k = 1; k < r.frontier.size(); ++k)
+    EXPECT_LE(best, r.frontier[k].serial_s());
+}
+
+TEST(SplitSearch, FastChannelMakesRocCheapestButNeverSelectsIt) {
+  // With an (unrealistically) fast channel and a slow edge, offloading
+  // everything is cheapest. The search reports that RoC baseline (cut 0)
+  // but never selects it, so the best split is the earliest cut.
+  Rng rng(5);
+  auto bb = edge_backbone(models::BackboneKind::kVgg16, rng);
+  graph::SplitCostModel cost = jetson_to_rtx(1e13);
+  cost.edge.effective_gflops = 0.01;
+  const auto r = graph::search_split_point(*bb, {1, 3, 20, 20}, cost);
+  for (size_t k = 1; k < r.frontier.size(); ++k)
+    EXPECT_LT(r.frontier[0].serial_s(), r.frontier[k].serial_s());
+  EXPECT_EQ(r.best_serial, 1u);
+}
+
+TEST(SplitSearch, SaliencyIsFiniteAndBoundedLength) {
+  Rng rng(6);
+  auto bb = edge_backbone(models::BackboneKind::kVgg16, rng);
+  Tensor x({2, 3, 20, 20});
+  rng.fill_uniform(x, 0.0f, 1.0f);
+  Tensor g(bb->output_shape(x.shape()));
+  rng.fill_uniform(g, -1.0f, 1.0f);
+  const auto sal = graph::layer_saliency(*bb, x, g);
+  ASSERT_EQ(sal.size(), bb->size() + 1);
+  for (double s : sal) {
+    EXPECT_GE(s, 0.0);
+    EXPECT_TRUE(std::isfinite(s));
+  }
+}
+
+TEST(SplitSearch, SaliencySelectionRespectsSizeSlack) {
+  Rng rng(7);
+  auto bb = edge_backbone(models::BackboneKind::kVgg16, rng);
+  const Shape in{1, 3, 20, 20};
+  const auto f =
+      graph::search_split_point(*bb, in, jetson_to_rtx(1e9)).frontier;
+  Tensor x(in);
+  rng.fill_uniform(x, 0.0f, 1.0f);
+  Tensor g(bb->output_shape(in));
+  rng.fill_uniform(g, -1.0f, 1.0f);
+  const auto sal = graph::layer_saliency(*bb, x, g);
+  const size_t best = graph::select_split_saliency(f, sal, 4.0);
+  EXPECT_GT(best, 0u);
+  // The chosen cut's size honours the slack constraint.
+  int64_t min_elems = f[1].cut_elems;
+  for (size_t k = 2; k < f.size(); ++k)
+    min_elems = std::min(min_elems, f[k].cut_elems);
+  EXPECT_LE(f[best].cut_elems, 4 * min_elems);
+}
+
+TEST(SplitSearch, SelectorsRejectEmptyInput) {
+  const std::vector<graph::SplitCandidate> empty;
+  EXPECT_THROW(graph::select_split_min_size(empty), std::invalid_argument);
+  EXPECT_THROW(graph::select_split_saliency(empty, {}),
+               std::invalid_argument);
+}
+
+// Across random device profiles and links, no split beats best_serial.
+class SplitSearchOptimality : public ::testing::TestWithParam<int> {};
+
+TEST_P(SplitSearchOptimality, BestSerialIsArgmin) {
+  Rng rng(static_cast<uint64_t>(GetParam()));
+  auto bb = edge_backbone(models::BackboneKind::kMobileNetV3, rng);
+  graph::SplitCostModel cost;
+  cost.edge = {"edge", 1LL << 30,
+               static_cast<double>(rng.uniform(0.5f, 100.0f))};
+  cost.server = {"server", 1LL << 34,
+                 static_cast<double>(rng.uniform(100.0f, 10000.0f))};
+  cost.bandwidth_bps = static_cast<double>(rng.uniform(1e6f, 1e9f));
+  const auto r = graph::search_split_point(*bb, {1, 3, 16, 16}, cost);
+  const double best = r.frontier[r.best_serial].serial_s();
+  for (size_t k = 1; k < r.frontier.size(); ++k)
+    EXPECT_LE(best, r.frontier[k].serial_s());
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomRigs, SplitSearchOptimality,
+                         ::testing::Range(0, 8));
+
 }  // namespace
 }  // namespace mtlsplit

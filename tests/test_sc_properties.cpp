@@ -4,7 +4,6 @@
 
 #include "mtl/model_factory.hpp"
 #include "sc/deployment.hpp"
-#include "sc/partition.hpp"
 #include "tensor/serialize.hpp"
 
 namespace mtlsplit {
@@ -100,33 +99,7 @@ TEST(ChannelProperties, MonotoneInDegradation) {
   }
 }
 
-// --- Invariant 4: across random device profiles, the min-latency split
-// is never beaten by any other cut.
-class PartitionOptimality : public ::testing::TestWithParam<int> {};
-
-TEST_P(PartitionOptimality, SelectedCutIsArgmin) {
-  Rng rng(static_cast<uint64_t>(GetParam()));
-  auto bb = models::build_backbone(
-      {models::BackboneKind::kMobileNetV3, models::BackboneScale::kEdge, 3},
-      rng);
-  const auto points = sc::enumerate_split_points(*bb, {1, 3, 16, 16});
-
-  sc::DeviceProfile edge{"edge", 1LL << 30,
-                         static_cast<double>(rng.uniform(0.5f, 100.0f))};
-  sc::DeviceProfile server{"server", 1LL << 34,
-                           static_cast<double>(rng.uniform(100.0f, 10000.0f))};
-  sc::Channel ch({.bandwidth_bps = static_cast<double>(
-                      rng.uniform(1e6f, 1e9f))});
-  const size_t best = sc::select_split_min_latency(points, ch, edge, server);
-  const double best_lat = points[best].latency_s(ch, edge, server);
-  for (const auto& p : points)
-    EXPECT_LE(best_lat, p.latency_s(ch, edge, server) + 1e-15);
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomRigs, PartitionOptimality,
-                         ::testing::Range(0, 8));
-
-// --- Invariant 5: RoC always ships more bytes than SC for these models
+// --- Invariant 4: RoC always ships more bytes than SC for these models
 // (the backbone compresses), and int8 always ships less than fp32.
 TEST(ByteOrdering, RocGreaterThanScGreaterThanInt8) {
   for (auto kind : models::kAllBackbones) {

@@ -7,6 +7,7 @@
 #include "mtl/metrics.hpp"
 #include "mtl/model_factory.hpp"
 #include "mtl/trainer.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace mtlsplit {
 namespace {
@@ -67,6 +68,54 @@ TEST(Trainer, TaskCountMismatchThrows) {
   auto stl = core::make_stl_model(small_model_cfg(), ds.task(0), rng);
   core::TrainConfig tc;
   EXPECT_THROW(core::train_model(*stl, ds, tc), std::invalid_argument);
+}
+
+TEST(Trainer, JobsInsidePoolLanesMatchTrainingOnThePool) {
+  // bench_paper trains its grids as one parallel_for with one training per
+  // chunk: each job's kernels then run serially inside its pool lane, and
+  // must compute bitwise what the job computes alone on the whole pool.
+  const auto ds = small_shapes(96);
+  struct Result {
+    std::vector<Tensor> state;
+    core::TrainHistory hist;
+    std::vector<double> acc;
+  };
+  auto job = [&](uint64_t seed) {
+    Rng rng(seed);
+    auto model = core::make_mtl_model(small_model_cfg(),
+                                      {ds.task(0), ds.task(1)}, rng);
+    core::TrainConfig tc;
+    tc.epochs = 1;
+    tc.batch_size = 16;
+    tc.lr = 3e-3f;
+    tc.seed = seed + 100;
+    Result r;
+    r.hist = core::train_model(*model, ds, tc);
+    r.acc = core::evaluate_model(*model, ds);
+    for (nn::Parameter* p : model->all_params()) r.state.push_back(p->value);
+    for (Tensor* b : model->all_buffers()) r.state.push_back(*b);
+    return r;
+  };
+
+  const int restore = runtime::num_threads();
+  runtime::set_num_threads(4);
+  const Result alone[2] = {job(11), job(12)};
+  Result in_lanes[2];
+  runtime::parallel_for(0, 2, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i)
+      in_lanes[i] = job(11 + static_cast<uint64_t>(i));
+  });
+  runtime::set_num_threads(restore);
+
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(alone[i].state.size(), in_lanes[i].state.size());
+    for (size_t p = 0; p < alone[i].state.size(); ++p)
+      EXPECT_TRUE(alone[i].state[p].equals(in_lanes[i].state[p]))
+          << "job " << i << " tensor " << p;
+    EXPECT_EQ(alone[i].hist.epoch_loss, in_lanes[i].hist.epoch_loss);
+    EXPECT_EQ(alone[i].hist.task_loss, in_lanes[i].hist.task_loss);
+    EXPECT_EQ(alone[i].acc, in_lanes[i].acc);
+  }
 }
 
 TEST(Evaluate, ReturnsPerTaskAccuracyInRange) {
