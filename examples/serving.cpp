@@ -1,8 +1,8 @@
 // Serving demo: many concurrent clients, one split-computing server.
 //
 // Builds a small MTL-Split model, stamps out four weight-identical server
-// replicas split into two shards, and serves client threads through the
-// priority/DRR batcher with Reject admission. Demonstrated along the way:
+// replicas whose workers share one queue, and serves client threads
+// through the priority/DRR batcher with Reject admission. Demonstrated along the way:
 // a burst beyond queue capacity is refused with a typed RejectedError
 // instead of blocking, a high-priority request jumps the coalescing
 // window, and a streaming request receives its chunks one future at a
@@ -42,15 +42,13 @@ int main() {
   cfg.batching = {.max_batch_size = 4, .max_wait_us = 2000};
   cfg.admission = {.policy = serve::AdmissionPolicy::kReject,
                    .capacity = 32};
-  cfg.replicas_per_shard = 2;  // 4 replicas -> 2 shards of 2 workers
-  cfg.sharding = serve::ShardingPolicy::kLeastLoaded;
   serve::ScServer server({model.get(), replicas[0].get(), replicas[1].get(),
                           replicas[2].get()},
                          link, sc::jetson_nano(), sc::rtx3090_server(), cfg);
 
-  std::printf("ScServer up: %zu workers in %zu shards, dynamic batching "
+  std::printf("ScServer up: %zu workers on one queue, dynamic batching "
               "(max %lld, wait %lld us), Reject admission at depth %zu\n",
-              server.num_workers(), server.num_shards(),
+              server.num_workers(),
               static_cast<long long>(cfg.batching.max_batch_size),
               static_cast<long long>(cfg.batching.max_wait_us),
               cfg.admission.capacity);

@@ -125,11 +125,10 @@ int main() {
   server.shutdown();
   const serve::ServeStats s = server.stats();
   std::printf("\nstats: %lld completed | %lld expired | %lld throttled | "
-              "%lld stolen | %lld scale-ups | %lld scale-downs\n",
+              "%lld scale-ups | %lld scale-downs\n",
               static_cast<long long>(s.completed),
               static_cast<long long>(s.expired),
               static_cast<long long>(s.throttled),
-              static_cast<long long>(s.stolen),
               static_cast<long long>(s.scale_ups),
               static_cast<long long>(s.scale_downs));
   std::printf("latency: p50 %.2f ms | p99 %.2f ms over %.1f ms wall\n",

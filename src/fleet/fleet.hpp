@@ -5,7 +5,7 @@
 //                              |                         ^
 //                              '-- prober: ping/ack -----'   (lossy link)
 //
-// Each node is one full ScServer (its own shards, workers, admission
+// Each node is one full ScServer (its own queue, workers, admission
 // control and telemetry), all serving bitwise-identical replica weights
 // copied from one prototype. The router owns three concerns the single-
 // server world never had:
@@ -23,7 +23,8 @@
 //  * Placement. Tenants map onto live nodes by rendezvous (highest-
 //    random-weight) hashing of client_id — when a node dies only its own
 //    tenants move, and they spread across all survivors instead of
-//    dogpiling one neighbour.
+//    dogpiling one neighbour. This is the only placement layer: inside a
+//    node every worker pops the server's one queue.
 //
 //  * Rebuild + exactly-once settlement. Every outstanding request is a
 //    Pending entry on exactly one node's list, moved only under that
@@ -108,7 +109,7 @@ struct FleetConfig {
   size_t nodes = 3;
   size_t replicas_per_node = 1;
   SwimConfig swim;
-  /// Per-node server configuration (batching, admission, sharding, ...).
+  /// Per-node server configuration (batching, admission, autoscaling, ...).
   serve::ServeConfig serve;
   /// Data-plane channel each node's workers fork sessions from.
   sc::ChannelConfig data_link;

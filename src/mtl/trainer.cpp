@@ -77,6 +77,7 @@ std::vector<double> evaluate_model(MtlSplitModel& model,
                                    int64_t batch_size) {
   check_arg(static_cast<size_t>(test_set.num_tasks()) == model.num_tasks(),
             "evaluate_model: dataset/model task count mismatch");
+  const bool was_training = model.backbone().training();
   model.set_training(false);
   data::DataLoader loader(test_set, batch_size, /*shuffle=*/false);
   Rng rng(0);  // unused by an unshuffled loader, but reset() requires one
@@ -90,7 +91,7 @@ std::vector<double> evaluate_model(MtlSplitModel& model,
   }
   std::vector<double> acc(meters.size());
   for (size_t j = 0; j < meters.size(); ++j) acc[j] = meters[j].value();
-  model.set_training(true);
+  model.set_training(was_training);
   return acc;
 }
 

@@ -38,7 +38,8 @@ TrainHistory train_model(MtlSplitModel& model,
                          const data::MultiTaskDataset& train_set,
                          const TrainConfig& cfg);
 
-/// Test accuracy per task (same order as the model's tasks).
+/// Test accuracy per task (same order as the model's tasks), measured in
+/// eval mode; the model is left in the mode it was in.
 std::vector<double> evaluate_model(MtlSplitModel& model,
                                    const data::MultiTaskDataset& test_set,
                                    int64_t batch_size = 64);

@@ -102,7 +102,8 @@ class Channel {
   /// @p prefix (e.g. "serve/shard0/link"): counters messages/bytes/
   /// packets/parity_packets/retransmits/fec_repaired/undelivered plus
   /// gauge window, updated on every transmit(). Several sessions bound
-  /// to one prefix share the metrics (per-shard aggregation). The
+  /// to one prefix share the metrics (ScServer sums its workers' sessions
+  /// this way). The
   /// registry must outlive the binding — unbind_telemetry() before it
   /// goes away (ScServer unbinds at shutdown). fork() starts unbound.
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix);

@@ -14,10 +14,10 @@
 // dispatches with whatever is already queued instead of idling out
 // max_wait_us.
 //
-// next_batch_for is the bounded variant ScServer's workers use: it gives
-// up after an idle window with an empty batch instead of blocking
-// forever, so a worker can notice retirement (autoscaler scale-down) or
-// go steal from a backlogged sibling shard between waits.
+// next_batch_for is the bounded variant ScServer's workers use when the
+// autoscaler is on: it gives up after an idle window with an empty batch
+// instead of blocking forever, so a worker can notice its retirement
+// (autoscaler scale-down) between waits.
 #pragma once
 
 #include <vector>
@@ -38,7 +38,7 @@ class DynamicBatcher {
   /// As above, plus telemetry: registers "<prefix>/batches" (batches
   /// formed) and "<prefix>/jumps" (high-priority leaders that skipped the
   /// wait window) in @p reg. Paths are shared across batchers given the
-  /// same prefix (per-shard, not per-worker).
+  /// same prefix (ScServer's workers all share one).
   DynamicBatcher(RequestQueue& queue, BatchingPolicy policy,
                  telemetry::Registry* reg, const std::string& prefix);
 
@@ -51,7 +51,7 @@ class DynamicBatcher {
   /// As next_batch, but waits at most @p idle_wait for the leading
   /// request. Returns false only when the queue is closed and fully
   /// drained; returns true with an empty @p out when the wait simply
-  /// timed out (the caller may poll again, steal elsewhere, or retire).
+  /// timed out (the caller may poll again or retire).
   bool next_batch_for(std::vector<Request>& out,
                       std::chrono::microseconds idle_wait);
 

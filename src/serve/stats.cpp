@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <string>
 
 #include "tensor/check.hpp"
@@ -57,17 +56,14 @@ double ServeStats::mean_batch_size() const {
          static_cast<double>(batches);
 }
 
-StatsCollector::StatsCollector(telemetry::Registry* registry,
-                               size_t num_shards)
+StatsCollector::StatsCollector(telemetry::Registry* registry)
     : owned_(registry ? nullptr : std::make_unique<telemetry::Registry>()),
       reg_(registry ? registry : owned_.get()) {
-  check_arg(num_shards >= 1, "StatsCollector: num_shards must be >= 1");
   telemetry::Registry& r = *reg_;
   submitted_ = &r.counter("serve/requests/submitted");
   completed_ = &r.counter("serve/requests/completed");
   failed_ = &r.counter("serve/requests/failed");
   expired_dispatch_ = &r.counter("serve/requests/expired_dispatch");
-  stolen_ = &r.counter("serve/requests/stolen");
   scale_ups_ = &r.counter("serve/autoscale/ups");
   scale_downs_ = &r.counter("serve/autoscale/downs");
   batches_ = &r.counter("serve/batch/count");
@@ -83,18 +79,14 @@ StatsCollector::StatsCollector(telemetry::Registry* registry,
   wire_time_s_ = &r.gauge("sc/link/wire_time_s");
   latency_ = &r.histogram("serve/requests/latency");
   latency_window_ = &r.histogram("serve/requests/latency_window");
-  shards_.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    const std::string p = "serve/shard" + std::to_string(s);
-    // Same paths each RequestQueue binds — idempotent registration makes
-    // them one shared tally, read here and written there.
-    shards_.push_back({&r.counter(p + "/queue/rejected"),
-                       &r.counter(p + "/queue/shed"),
-                       &r.counter(p + "/queue/expired"),
-                       &r.counter(p + "/queue/throttled"),
-                       &r.gauge(p + "/link/window"),
-                       &r.gauge(p + "/replicas")});
-  }
+  // Same paths the RequestQueue binds — idempotent registration makes
+  // them one shared tally, read here and written there.
+  queue_rejected_ = &r.counter(kQueuePrefix + "/queue/rejected");
+  queue_shed_ = &r.counter(kQueuePrefix + "/queue/shed");
+  queue_expired_ = &r.counter(kQueuePrefix + "/queue/expired");
+  queue_throttled_ = &r.counter(kQueuePrefix + "/queue/throttled");
+  link_window_ = &r.gauge(kQueuePrefix + "/link/window");
+  replicas_ = &r.gauge(kQueuePrefix + "/replicas");
 }
 
 void StatsCollector::on_submit() {
@@ -104,10 +96,8 @@ void StatsCollector::on_submit() {
                                            std::memory_order_relaxed);
 }
 
-void StatsCollector::on_batch(int64_t batch_size, const sc::WireTally& wire,
-                              size_t shard) {
+void StatsCollector::on_batch(int64_t batch_size, const sc::WireTally& wire) {
   check_arg(batch_size >= 1, "StatsCollector: empty batch");
-  check_arg(shard < shards_.size(), "StatsCollector: shard out of range");
   batches_->inc();
   wire_bytes_->add(wire.bytes);
   wire_bytes_raw_->add(wire.bytes_raw);
@@ -115,7 +105,7 @@ void StatsCollector::on_batch(int64_t batch_size, const sc::WireTally& wire,
   fec_repaired_->add(wire.fec_repaired);
   undelivered_->add(wire.undelivered);
   wire_time_s_->add(wire.time_s);
-  if (wire.window > 0.0) shards_[shard].window->set(wire.window);
+  if (wire.window > 0.0) link_window_->set(wire.window);
   const int64_t bucket = std::min(batch_size, ServeStats::kBatchHistMax);
   batch_hist_[static_cast<size_t>(bucket)]->inc();
 }
@@ -132,15 +122,12 @@ void StatsCollector::on_request(double e2e_latency_s, bool ok) {
 
 void StatsCollector::on_expired(int64_t n) { expired_dispatch_->add(n); }
 
-void StatsCollector::on_stolen(int64_t n) { stolen_->add(n); }
-
 void StatsCollector::on_scale(bool up) {
   (up ? scale_ups_ : scale_downs_)->inc();
 }
 
-void StatsCollector::on_replicas(size_t shard, int64_t n) {
-  check_arg(shard < shards_.size(), "StatsCollector: shard out of range");
-  shards_[shard].replicas->set(static_cast<double>(n));
+void StatsCollector::on_replicas(int64_t n) {
+  replicas_->set(static_cast<double>(n));
 }
 
 telemetry::HistSnapshot StatsCollector::drain_latency_window() {
@@ -151,7 +138,6 @@ ServeStats StatsCollector::snapshot() const {
   ServeStats out;
   out.completed = completed_->value();
   out.failed = failed_->value();
-  out.stolen = stolen_->value();
   out.scale_ups = scale_ups_->value();
   out.scale_downs = scale_downs_->value();
   out.batches = batches_->value();
@@ -162,20 +148,12 @@ ServeStats StatsCollector::snapshot() const {
   out.undelivered = undelivered_->value();
   out.wire_time_s = wire_time_s_->value();
 
-  out.expired = expired_dispatch_->value();
-  out.shard_link_window.resize(shards_.size(), 0.0);
-  out.shard_replicas.resize(shards_.size(), 0);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const ShardRefs& sh = shards_[s];
-    out.rejected = saturating_add(out.rejected, sh.rejected->value());
-    out.shed = saturating_add(out.shed, sh.shed->value());
-    out.expired = saturating_add(out.expired, sh.expired->value());
-    out.throttled = saturating_add(out.throttled, sh.throttled->value());
-    out.shard_link_window[s] = sh.window->value();
-    out.link_window = std::max(out.link_window, out.shard_link_window[s]);
-    out.shard_replicas[s] =
-        static_cast<int64_t>(std::llround(sh.replicas->value()));
-  }
+  out.rejected = queue_rejected_->value();
+  out.shed = queue_shed_->value();
+  out.throttled = queue_throttled_->value();
+  out.expired =
+      saturating_add(expired_dispatch_->value(), queue_expired_->value());
+  out.link_window = link_window_->value();
 
   // The compatibility histogram keeps its lazily-grown shape: sized to
   // the highest bucket ever hit, plus one.

@@ -1,8 +1,7 @@
 // Serving statistics: throughput, end-to-end latency percentiles, the
 // batch-size histogram (did dynamic batching actually coalesce?), wire
 // traffic, admission outcomes (rejected / shed / expired / throttled),
-// and lifecycle counters (work-steal pulls, autoscale events, per-shard
-// replica counts).
+// and lifecycle counters (autoscale events, the replica census).
 //
 // Since the telemetry tree landed (serve/telemetry.hpp, DESIGN.md §11)
 // the collector is a *view builder*, not a ledger: every tally lives in a
@@ -24,6 +23,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sc/link.hpp"
@@ -33,6 +33,14 @@
 namespace mtlsplit::serve {
 
 using telemetry::saturating_add;
+
+/// Telemetry prefix of the server's one queue: its admission counters
+/// (<prefix>/queue), batcher (<prefix>/batcher), wire sessions
+/// (<prefix>/link) and replica census (<prefix>/replicas). Readers depend
+/// on the exact name (perfbench reads <prefix>/link/packets and
+/// Registry::counter_value throws on a missing path), so it stays
+/// "serve/shard0" until they move.
+inline const std::string kQueuePrefix = "serve/shard0";
 
 struct ServeStats {
   /// Batch sizes >= kBatchHistMax land in the final (overflow) bucket, so
@@ -45,7 +53,6 @@ struct ServeStats {
   int64_t shed = 0;       ///< queued requests evicted (ShedOldest policy)
   int64_t expired = 0;    ///< requests settled with DeadlineExceededError
   int64_t throttled = 0;  ///< requests refused by a tenant quota
-  int64_t stolen = 0;     ///< requests served by a sibling shard's worker
   int64_t scale_ups = 0;   ///< autoscaler replica additions
   int64_t scale_downs = 0; ///< autoscaler replica retirements
   int64_t batches = 0;    ///< server batches executed
@@ -64,16 +71,9 @@ struct ServeStats {
   /// Total modelled link time across the wire (seconds); the denominator
   /// of goodput_bytes_s().
   double wire_time_s = 0.0;
-  /// Largest per-shard congestion window at snapshot time (packets; 0
-  /// when no LinkModel is configured). The per-shard values are in
-  /// shard_link_window — a scalar across shards would be
-  /// last-writer-wins noise.
+  /// Sender congestion window the workers' link sessions reported last
+  /// (packets; 0 when no LinkModel is configured).
   double link_window = 0.0;
-  /// Most recent sender congestion window per shard ("serve/shardK/link/
-  /// window" gauges); empty only for a collector with zero shards.
-  std::vector<double> shard_link_window;
-  /// Active replicas per shard at snapshot time (autoscaler view).
-  std::vector<int64_t> shard_replicas;
   /// Wall-clock from the first accepted request to the last completion.
   double wall_s = 0.0;
   /// batch_hist[b] = number of server batches that coalesced b requests;
@@ -100,42 +100,37 @@ struct ServeStats {
 /// point updates per-metric atomics only.
 ///
 /// Paths (docs/serving.md has the full table):
-///   serve/requests/{submitted,completed,failed,expired_dispatch,stolen}
+///   serve/requests/{submitted,completed,failed,expired_dispatch}
 ///   serve/requests/latency, serve/requests/latency_window   (histograms)
 ///   serve/batch/count, serve/batch/hist/<0..64>
 ///   serve/autoscale/{ups,downs}
 ///   sc/link/{wire_bytes,wire_bytes_raw,retransmits,fec_repaired,
 ///            undelivered}, sc/link/wire_time_s               (gauge)
-///   serve/shard<k>/queue/{rejected,shed,expired,throttled}
-///   serve/shard<k>/link/window, serve/shard<k>/replicas      (gauges)
+///   serve/shard0/queue/{rejected,shed,expired,throttled}
+///   serve/shard0/link/window, serve/shard0/replicas          (gauges)
 ///
-/// The shard queue counters are the *same* metrics each RequestQueue
+/// The queue counters are the *same* metrics the server's RequestQueue
 /// binds (registration is idempotent), so rejected/shed/throttled and
 /// queue expiries are tallied once, at the queue, and simply read here.
 class StatsCollector {
  public:
   /// Registers into @p registry, or into a private tree when null (the
-  /// standalone-collector mode unit tests use). @p num_shards sizes the
-  /// per-shard branches.
-  explicit StatsCollector(telemetry::Registry* registry = nullptr,
-                          size_t num_shards = 1);
+  /// standalone-collector mode unit tests use).
+  explicit StatsCollector(telemetry::Registry* registry = nullptr);
 
   /// Marks wall-clock start at the first accepted request.
   void on_submit();
-  /// One server batch executed by @p shard and the wire traffic it sent.
-  /// A zero window (no LinkModel) leaves the shard's window gauge alone.
-  void on_batch(int64_t batch_size, const sc::WireTally& wire,
-                size_t shard = 0);
+  /// One server batch executed and the wire traffic it sent. A zero
+  /// window (no LinkModel) leaves the window gauge alone.
+  void on_batch(int64_t batch_size, const sc::WireTally& wire);
   void on_request(double e2e_latency_s, bool ok);
   /// Requests that aged out between pop and dispatch (ExpiryPhase
   /// kDispatch) — admission/queue expiries are tallied by the queue.
   void on_expired(int64_t n);
-  /// Requests a worker pulled from a sibling shard's queue.
-  void on_stolen(int64_t n);
   /// One autoscaler event: a replica added (up) or retired (!up).
   void on_scale(bool up);
-  /// Publishes @p shard's active replica count ("serve/shardK/replicas").
-  void on_replicas(size_t shard, int64_t n);
+  /// Publishes the active replica count ("serve/shard0/replicas").
+  void on_replicas(int64_t n);
 
   /// Takes and resets the windowed latency histogram — the SLO
   /// controller's per-interval feedback signal. The cumulative
@@ -144,7 +139,6 @@ class StatsCollector {
 
   telemetry::Registry& registry() { return *reg_; }
   const telemetry::Registry& registry() const { return *reg_; }
-  size_t num_shards() const { return shards_.size(); }
 
   /// The ServeStats compatibility view: every field is read straight off
   /// the telemetry tree (no collector-private state beyond the wall-clock
@@ -152,22 +146,12 @@ class StatsCollector {
   ServeStats snapshot() const;
 
  private:
-  struct ShardRefs {
-    telemetry::Counter* rejected;
-    telemetry::Counter* shed;
-    telemetry::Counter* expired;
-    telemetry::Counter* throttled;
-    telemetry::Gauge* window;
-    telemetry::Gauge* replicas;
-  };
-
   std::unique_ptr<telemetry::Registry> owned_;
   telemetry::Registry* reg_;
   telemetry::Counter* submitted_;
   telemetry::Counter* completed_;
   telemetry::Counter* failed_;
   telemetry::Counter* expired_dispatch_;
-  telemetry::Counter* stolen_;
   telemetry::Counter* scale_ups_;
   telemetry::Counter* scale_downs_;
   telemetry::Counter* batches_;
@@ -180,7 +164,12 @@ class StatsCollector {
   telemetry::Gauge* wire_time_s_;
   telemetry::Histogram* latency_;
   telemetry::Histogram* latency_window_;
-  std::vector<ShardRefs> shards_;
+  telemetry::Counter* queue_rejected_;
+  telemetry::Counter* queue_shed_;
+  telemetry::Counter* queue_expired_;
+  telemetry::Counter* queue_throttled_;
+  telemetry::Gauge* link_window_;
+  telemetry::Gauge* replicas_;
   // Wall-clock endpoints (steady-clock ns); first_submit_ns_ == 0 means
   // no request was ever submitted.
   std::atomic<int64_t> first_submit_ns_{0};

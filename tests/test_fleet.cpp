@@ -300,6 +300,10 @@ TEST(FleetChaos, KillNodeEveryFutureSettlesOnceAndReplicasRebuild) {
   EXPECT_EQ(s.settled_value, 48);
   EXPECT_EQ(s.settled_error, 0);
   EXPECT_EQ(router.node_state(victim), fleet::NodeState::kDead);
+  // The rebuild is counted once, as replicas_reminted: no node's
+  // autoscaler (off here) reports a scale-up for the re-minted replica.
+  for (size_t k = 0; k < 3; ++k)
+    EXPECT_EQ(router.node_server(k).stats().scale_ups, 0) << "node " << k;
 }
 
 TEST(FleetChaos, NonIdempotentRequestGetsTypedNodeFailedError) {

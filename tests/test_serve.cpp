@@ -443,91 +443,43 @@ TEST(ScServer, StreamedChunksAreBitwiseIdenticalToSequentialInfer) {
   EXPECT_EQ(stats.failed, 0);
 }
 
-TEST(ScServer, ReplicaShardingRoutesAndServesEveryRequest) {
-  // Four replicas, two per shard: both routing policies must deliver
-  // bitwise-correct results from whichever shard served the request.
-  ServeRig rig(/*replicas=*/4);
-  ServeRig ref_rig(1);
-  core::copy_model_state(*ref_rig.models[0], *rig.models[0]);
-  sc::Channel ref_ch({.bandwidth_bps = 1e9});
-  sc::ScDeployment ref(*ref_rig.models[0], ref_ch, sc::jetson_nano(),
-                       sc::rtx3090_server());
-
-  for (const serve::ShardingPolicy policy :
-       {serve::ShardingPolicy::kHashClient,
-        serve::ShardingPolicy::kLeastLoaded}) {
-    sc::Channel link({.bandwidth_bps = 1e9});
-    serve::ScServer server(
-        {rig.models[0].get(), rig.models[1].get(), rig.models[2].get(),
-         rig.models[3].get()},
-        link, sc::jetson_nano(), sc::rtx3090_server(),
-        {.batching = {.max_batch_size = 2, .max_wait_us = 500},
-         .replicas_per_shard = 2,
-         .sharding = policy});
-    ASSERT_EQ(server.num_shards(), 2u);
-    ASSERT_EQ(server.num_workers(), 4u);
-
-    std::vector<Tensor> inputs;
-    std::vector<std::future<sc::InferenceResult>> futures;
-    for (uint64_t i = 0; i < 16; ++i) {
-      inputs.push_back(rig.random_input(810 + i));
-      futures.push_back(
-          server.submit(inputs.back(), {.client_id = i % 4}));
-    }
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      const sc::InferenceResult got = futures[i].get();
-      const sc::InferenceResult want = ref.infer(inputs[i]);
-      for (size_t j = 0; j < want.logits.size(); ++j)
-        EXPECT_TRUE(got.logits[j].equals(want.logits[j]))
-            << "sharded request " << i << " diverged";
-    }
-    server.shutdown();
-    EXPECT_EQ(server.stats().completed, 16);
-  }
-}
-
-TEST(ScServer, LinkWindowIsReportedPerShardNotLastWriterWins) {
-  // Regression: the congestion window used to be one scalar shared by
-  // every shard, so whichever worker finished last overwrote the rest —
-  // an idle shard's untouched link could mask (or be masked by) a busy
-  // one. Per shard: a hash-pinned client keeps shard B idle, so exactly
-  // one shard may report a live window and the idle one must stay 0.
+TEST(ScServer, QueuePrefixPathsTallyEveryWorkerOfTheOneQueue) {
+  // Two workers pop one queue; their wire sessions, the queue and the
+  // replica census all report under serve/shard0 — the paths perfbench
+  // reads (Registry::counter_value throws on a missing path).
   ServeRig rig(/*replicas=*/2);
-  sc::Channel s0({.bandwidth_bps = 1e9,
-                  .base_latency_s = 0.0001,
-                  .link = {.mtu_bytes = 96, .max_retransmits = 8}});
-  sc::Channel s1({.bandwidth_bps = 1e9,
-                  .base_latency_s = 0.0001,
-                  .link = {.mtu_bytes = 96, .max_retransmits = 8}});
+  const sc::ChannelConfig cc{.bandwidth_bps = 1e9,
+                             .base_latency_s = 0.0001,
+                             .link = {.mtu_bytes = 96, .max_retransmits = 8}};
+  sc::Channel s0(cc);
+  sc::Channel s1(cc);
   serve::ServeConfig cfg;
   cfg.batching = {.max_batch_size = 2, .max_wait_us = 200};
-  cfg.replicas_per_shard = 1;
-  cfg.sharding = serve::ShardingPolicy::kHashClient;
-  cfg.work_stealing = false;  // keep the idle shard's link truly idle
   serve::ScServer server({rig.models[0].get(), rig.models[1].get()},
                          {&s0, &s1}, sc::jetson_nano(), sc::rtx3090_server(),
                          cfg);
-  ASSERT_EQ(server.num_shards(), 2u);
+  const telemetry::Registry& tree = server.telemetry_tree();
+  EXPECT_DOUBLE_EQ(tree.gauge_value("serve/shard0/replicas"), 2.0);
   std::vector<std::future<sc::InferenceResult>> futures;
   for (uint64_t i = 0; i < 8; ++i)
     futures.push_back(server.submit(rig.random_input(910 + i),
-                                    {.client_id = 42}));
+                                    {.client_id = i % 3}));
   for (auto& f : futures) EXPECT_NO_THROW((void)f.get());
   server.shutdown();
+  // Workers park at shutdown, so the census drops to zero.
+  EXPECT_DOUBLE_EQ(tree.gauge_value("serve/shard0/replicas"), 0.0);
 
+  const int64_t packets = tree.counter_value("serve/shard0/link/packets");
+  EXPECT_GT(packets, 0);
+  EXPECT_EQ(packets, s0.totals().packets + s1.totals().packets);
   const serve::ServeStats s = server.stats();
-  ASSERT_EQ(s.shard_link_window.size(), 2u);
-  const size_t busy = s.shard_link_window[0] > 0.0 ? 0 : 1;
-  EXPECT_GE(s.shard_link_window[busy], 1.0)
-      << "the serving shard never reported its window";
-  EXPECT_DOUBLE_EQ(s.shard_link_window[1 - busy], 0.0)
-      << "the idle shard's window was clobbered by its sibling";
-  EXPECT_DOUBLE_EQ(s.link_window, s.shard_link_window[busy]);
-  // The same values, straight off the tree.
-  for (size_t sh = 0; sh < 2; ++sh)
-    EXPECT_DOUBLE_EQ(server.telemetry_tree().gauge_value(
-                         "serve/shard" + std::to_string(sh) + "/link/window"),
-                     s.shard_link_window[sh]);
+  EXPECT_GE(s.link_window, 1.0);
+  EXPECT_DOUBLE_EQ(tree.gauge_value("serve/shard0/link/window"),
+                   s.link_window);
+  for (const char* leaf : {"rejected", "shed", "expired", "throttled"})
+    EXPECT_NE(tree.find_counter(std::string("serve/shard0/queue/") + leaf),
+              nullptr)
+        << leaf;
   EXPECT_EQ(s.completed, 8);
 }
 

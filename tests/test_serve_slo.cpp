@@ -438,69 +438,6 @@ TEST(Autoscale, GrowsUnderBurstNeverPastMaxAndShrinksWhenIdle) {
   EXPECT_GE(s.scale_downs, 1);
   EXPECT_EQ(s.completed, 64);
   EXPECT_EQ(s.failed, 0);
-  ASSERT_EQ(s.shard_replicas.size(), 1u);
-}
-
-TEST(WorkSteal, IdleShardDrainsBackloggedSibling) {
-  // Two single-replica shards; hash routing pins every request of one
-  // client to one shard, so the other shard's worker is idle unless it
-  // steals.
-  SloRig rig(/*replicas=*/2);
-  SloRig ref_rig;
-  core::copy_model_state(*ref_rig.models[0], *rig.models[0]);
-  sc::Channel ref_ch({.bandwidth_bps = 1e9});
-  sc::ScDeployment ref(*ref_rig.models[0], ref_ch, sc::jetson_nano(),
-                       sc::rtx3090_server());
-
-  sc::Channel link({.bandwidth_bps = 1e9});
-  serve::ServeConfig cfg;
-  cfg.batching = {.max_batch_size = 1, .max_wait_us = 0};
-  cfg.replicas_per_shard = 1;
-  cfg.sharding = serve::ShardingPolicy::kHashClient;
-  cfg.work_stealing = true;
-  cfg.idle_poll_us = 200;
-  serve::ScServer server({rig.models[0].get(), rig.models[1].get()}, link,
-                         sc::jetson_nano(), sc::rtx3090_server(), cfg);
-  ASSERT_EQ(server.num_shards(), 2u);
-
-  std::vector<Tensor> inputs;
-  std::vector<std::future<sc::InferenceResult>> futs;
-  for (uint64_t i = 0; i < 40; ++i) {
-    inputs.push_back(rig.input(700 + i));
-    futs.push_back(server.submit(inputs.back().clone(), {.client_id = 42}));
-  }
-  for (size_t i = 0; i < futs.size(); ++i) {
-    const sc::InferenceResult got = futs[i].get();
-    const sc::InferenceResult want = ref.infer(inputs[i]);
-    for (size_t j = 0; j < want.logits.size(); ++j)
-      EXPECT_TRUE(got.logits[j].equals(want.logits[j]))
-          << "stolen-or-owned request " << i << " diverged";
-  }
-  server.shutdown();
-  const serve::ServeStats s = server.stats();
-  EXPECT_EQ(s.completed, 40);
-  EXPECT_EQ(s.failed, 0);
-  EXPECT_GT(s.stolen, 0) << "the idle sibling never stole";
-}
-
-TEST(WorkSteal, DisabledKeepsEveryRequestOnItsShard) {
-  SloRig rig(/*replicas=*/2);
-  sc::Channel link({.bandwidth_bps = 1e9});
-  serve::ServeConfig cfg;
-  cfg.batching = {.max_batch_size = 2, .max_wait_us = 200};
-  cfg.replicas_per_shard = 1;
-  cfg.sharding = serve::ShardingPolicy::kHashClient;
-  cfg.work_stealing = false;
-  serve::ScServer server({rig.models[0].get(), rig.models[1].get()}, link,
-                         sc::jetson_nano(), sc::rtx3090_server(), cfg);
-  std::vector<std::future<sc::InferenceResult>> futs;
-  for (uint64_t i = 0; i < 12; ++i)
-    futs.push_back(server.submit(rig.input(800 + i), {.client_id = 42}));
-  for (auto& f : futs) EXPECT_EQ(settle_kind(f), 0);
-  server.shutdown();
-  const serve::ServeStats s = server.stats();
-  EXPECT_EQ(s.completed, 12);
-  EXPECT_EQ(s.stolen, 0);
 }
 
 TEST(ServerQuota, ThrottledTenantGetsTypedErrorOthersUnaffected) {
@@ -763,70 +700,6 @@ TEST(SloControl, SetCapacityIsALiveActuator) {
   EXPECT_EQ(settle_kind(f1), 0);
   EXPECT_EQ(settle_kind(f2), 0);
   EXPECT_EQ(settle_kind(f4), 0);
-}
-
-TEST(Routing, HashPinnedTenantFallsBackWhenItsShardDrainsToZeroWorkers) {
-  // Regression: splitmix64(client_id) % num_shards used to pin a tenant
-  // to its hash shard unconditionally — including a shard whose every
-  // worker slot had been retired mid-scale-down, stranding the tenant's
-  // requests in a queue nobody pops. The router must fall back to the
-  // least-loaded *live* shard the moment the pinned shard has no active
-  // worker.
-  SloRig rig(2);
-  sc::Channel link({.bandwidth_bps = 1e9});
-  serve::ServeConfig cfg;
-  cfg.batching = {.max_batch_size = 1, .max_wait_us = 0};
-  cfg.replicas_per_shard = 1;  // two shards, one worker each
-  cfg.sharding = serve::ShardingPolicy::kHashClient;
-  cfg.work_stealing = false;  // nobody rescues a stranded queue
-  serve::ScServer server({rig.models[0].get(), rig.models[1].get()}, link,
-                         sc::jetson_nano(), sc::rtx3090_server(), cfg);
-  ASSERT_EQ(server.num_shards(), 2u);
-
-  // Drain shard 0 to zero active workers (allowed below the autoscaler's
-  // floor — this is the fleet/chaos hook, not a policy decision).
-  ASSERT_TRUE(server.retire_replica(0));
-  EXPECT_FALSE(server.retire_replica(0)) << "no second worker to retire";
-
-  // Every tenant — including the ones that hash onto shard 0 — must be
-  // served, bitwise identical to a sequential reference.
-  SloRig ref_rig;
-  core::copy_model_state(*ref_rig.models[0], *rig.models[0]);
-  sc::Channel ref_ch({.bandwidth_bps = 1e9});
-  sc::ScDeployment ref(*ref_rig.models[0], ref_ch, sc::jetson_nano(),
-                       sc::rtx3090_server());
-  std::vector<Tensor> inputs;
-  std::vector<std::future<sc::InferenceResult>> futs;
-  for (uint64_t c = 0; c < 16; ++c) {
-    inputs.push_back(rig.input(900 + c));
-    futs.push_back(server.submit(inputs[c].clone(), {.client_id = c}));
-  }
-  for (size_t i = 0; i < futs.size(); ++i) {
-    ASSERT_EQ(futs[i].wait_for(20s), std::future_status::ready)
-        << "request " << i << " stranded on a dead shard";
-    const sc::InferenceResult got = futs[i].get();
-    const sc::InferenceResult want = ref.infer(inputs[i]);
-    ASSERT_EQ(got.logits.size(), want.logits.size());
-    for (size_t j = 0; j < want.logits.size(); ++j)
-      EXPECT_TRUE(got.logits[j].equals(want.logits[j]));
-  }
-  server.shutdown();
-  const serve::ServeStats s = server.stats();
-  EXPECT_EQ(s.completed, 16);
-  EXPECT_EQ(s.failed, 0);
-
-  // And the rebuild hook restores the drained shard: the replica lands
-  // on shard 0 (fewest active workers).
-  SloRig rig2(2);
-  sc::Channel link2({.bandwidth_bps = 1e9});
-  serve::ScServer server2({rig2.models[0].get(), rig2.models[1].get()}, link2,
-                          sc::jetson_nano(), sc::rtx3090_server(), cfg);
-  ASSERT_TRUE(server2.retire_replica(0));
-  EXPECT_EQ(server2.add_replicas(1, &SloRig::mint), 1u);
-  EXPECT_EQ(server2.num_workers(), 2u);
-  auto f = server2.submit(rig2.input(950), {.client_id = 3});
-  ASSERT_EQ(f.wait_for(20s), std::future_status::ready);
-  server2.shutdown();
 }
 
 TEST(ServerSlo, ControllerReactsToViolationsEndToEnd) {

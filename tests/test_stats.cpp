@@ -243,29 +243,13 @@ TEST(ServeStats, MeanBatchSizeSaturatesInsteadOfOverflowing) {
   EXPECT_GE(s.mean_batch_size(), 0.0);
 }
 
-TEST(ServeStats, PerShardLinkWindowsDoNotClobberEachOther) {
-  // Regression: a single scalar window shared by all shards was
-  // last-writer-wins noise — shard 1's quiet link could mask shard 0's
-  // wide-open window. Each shard now reports its own gauge; the scalar
-  // compatibility field is the fleet-wide maximum.
-  StatsCollector c(nullptr, /*num_shards=*/2);
-  c.on_batch(1, {.bytes = 100, .time_s = 0.1, .window = 8.0}, /*shard=*/0);
-  // Would have overwritten 8.0 pre-fix.
-  c.on_batch(1, {.bytes = 100, .time_s = 0.1, .window = 3.0}, /*shard=*/1);
-  const ServeStats s = c.snapshot();
-  ASSERT_EQ(s.shard_link_window.size(), 2u);
-  EXPECT_DOUBLE_EQ(s.shard_link_window[0], 8.0);
-  EXPECT_DOUBLE_EQ(s.shard_link_window[1], 3.0);
-  EXPECT_DOUBLE_EQ(s.link_window, 8.0);
-}
-
 TEST(ServeStats, SnapshotIsDerivableFromTheTelemetryTree) {
   // The ServeStats compatibility view must be a pure function of the
   // telemetry tree: every field equals a direct read of the registry the
   // collector registered into, including the P² latency marker state
   // byte for byte.
   telemetry::Registry reg;
-  StatsCollector c(&reg, /*num_shards=*/2);
+  StatsCollector c(&reg);
   const sc::WireTally w{.bytes = 900,
                         .bytes_raw = 1500,
                         .retransmits = 4,
@@ -274,22 +258,19 @@ TEST(ServeStats, SnapshotIsDerivableFromTheTelemetryTree) {
                         .time_s = 0.5,
                         .window = 6.0};
   for (int i = 0; i < 3; ++i) c.on_submit();
-  c.on_batch(2, w, 0);
-  c.on_batch(1, w, 1);
+  c.on_batch(2, w);
+  c.on_batch(1, w);
   c.on_request(0.010, true);
   c.on_request(0.020, true);
   c.on_request(0.500, false);
   c.on_expired(2);
-  c.on_stolen(1);
   c.on_scale(true);
   c.on_scale(false);
-  c.on_replicas(0, 2);
-  c.on_replicas(1, 1);
-  // Queue-side producers write the shared shard counters directly.
-  reg.counter("serve/shard0/queue/rejected").add(3);
-  reg.counter("serve/shard1/queue/rejected").add(2);
+  c.on_replicas(2);
+  // The queue writes the shared queue counters directly.
+  reg.counter("serve/shard0/queue/rejected").add(5);
   reg.counter("serve/shard0/queue/shed").add(1);
-  reg.counter("serve/shard1/queue/expired").add(4);
+  reg.counter("serve/shard0/queue/expired").add(4);
   reg.counter("serve/shard0/queue/throttled").add(5);
 
   const ServeStats s = c.snapshot();
@@ -297,13 +278,12 @@ TEST(ServeStats, SnapshotIsDerivableFromTheTelemetryTree) {
   EXPECT_EQ(s.failed, reg.counter_value("serve/requests/failed"));
   EXPECT_EQ(s.completed, 2);
   EXPECT_EQ(s.failed, 1);
-  EXPECT_EQ(s.rejected, 3 + 2);
+  EXPECT_EQ(s.rejected, 5);
   EXPECT_EQ(s.shed, 1);
   EXPECT_EQ(s.throttled, 5);
-  // expired = dispatch-phase expiries + every shard's queue expiries.
+  // expired = dispatch-phase expiries + the queue's expiries.
   EXPECT_EQ(s.expired,
             reg.counter_value("serve/requests/expired_dispatch") + 4);
-  EXPECT_EQ(s.stolen, reg.counter_value("serve/requests/stolen"));
   EXPECT_EQ(s.scale_ups, reg.counter_value("serve/autoscale/ups"));
   EXPECT_EQ(s.scale_downs, reg.counter_value("serve/autoscale/downs"));
   EXPECT_EQ(s.batches, reg.counter_value("serve/batch/count"));
@@ -314,14 +294,9 @@ TEST(ServeStats, SnapshotIsDerivableFromTheTelemetryTree) {
   EXPECT_EQ(s.fec_repaired, reg.counter_value("sc/link/fec_repaired"));
   EXPECT_EQ(s.undelivered, reg.counter_value("sc/link/undelivered"));
   EXPECT_DOUBLE_EQ(s.wire_time_s, reg.gauge_value("sc/link/wire_time_s"));
-  ASSERT_EQ(s.shard_link_window.size(), 2u);
-  for (size_t sh = 0; sh < 2; ++sh) {
-    const std::string p = "serve/shard" + std::to_string(sh);
-    EXPECT_DOUBLE_EQ(s.shard_link_window[sh],
-                     reg.gauge_value(p + "/link/window"));
-    EXPECT_EQ(s.shard_replicas[sh],
-              static_cast<int64_t>(reg.gauge_value(p + "/replicas")));
-  }
+  EXPECT_DOUBLE_EQ(s.link_window, reg.gauge_value("serve/shard0/link/window"));
+  EXPECT_DOUBLE_EQ(s.link_window, 6.0);
+  EXPECT_DOUBLE_EQ(reg.gauge_value("serve/shard0/replicas"), 2.0);
   ASSERT_EQ(s.batch_hist.size(), 3u);  // highest bucket hit (2) + 1
   EXPECT_EQ(s.batch_hist[1], reg.counter_value("serve/batch/hist/1"));
   EXPECT_EQ(s.batch_hist[2], reg.counter_value("serve/batch/hist/2"));

@@ -142,6 +142,23 @@ TEST(Evaluate, UntrainedIsNearChance) {
   EXPECT_LT(acc[1], 0.65);
 }
 
+TEST(Evaluate, LeavesTheModelInTheModeItFound) {
+  // A deployed model is in eval mode and must stay there (the graph
+  // compiler refuses training-mode models); a model mid-training must go
+  // back to training. Either way the scores are the same.
+  Rng rng(6);
+  const auto ds = small_shapes(64);
+  auto model = core::make_mtl_model(small_model_cfg(),
+                                    {ds.task(0), ds.task(1)}, rng);
+  model->set_training(false);
+  const auto acc_eval = core::evaluate_model(*model, ds);
+  EXPECT_FALSE(model->backbone().training());
+  model->set_training(true);
+  const auto acc_train = core::evaluate_model(*model, ds);
+  EXPECT_TRUE(model->backbone().training());
+  EXPECT_EQ(acc_eval, acc_train);
+}
+
 TEST(Finetune, FrozenBackboneStaysFixed) {
   Rng rng(6);
   const auto ds = small_shapes(64);
