@@ -805,7 +805,7 @@ Report run_slo(Models& m) {
          target_ms);
   r.gate("slo/controller_ticks", controller.at("ticks").num(), ">", 0);
   r.gate("slo/controller_violations", controller.at("violations").num(), ">",
-         0);
+         0, /*exercise=*/true);
   r.metrics["slo"] = {
       {"admission", "reject"},
       {"static_capacity", slo_config(0.0).admission.capacity},

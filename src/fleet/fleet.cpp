@@ -11,9 +11,6 @@ namespace mtlsplit::fleet {
 
 namespace {
 
-/// How often each node's settler sweeps its pending futures.
-constexpr std::chrono::microseconds kSettlePoll{200};
-
 uint64_t splitmix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -151,8 +148,6 @@ FleetRouter::FleetRouter(core::MtlSplitModel& prototype,
   }
   live_nodes_g_->set(static_cast<double>(nodes_.size()));
 
-  for (size_t k = 0; k < nodes_.size(); ++k)
-    nodes_[k]->settler = std::thread([this, k] { settler_loop(k); });
   prober_ = std::thread([this] { prober_loop(); });
 }
 
@@ -169,25 +164,21 @@ void FleetRouter::shutdown() {
   if (prober_.joinable()) prober_.join();
   for (auto& t : reapers_)
     if (t.joinable()) t.join();
-  for (auto& n : nodes_)
-    if (n->settler.joinable()) n->settler.join();
-  // Live nodes drain every accepted request; killed nodes join their
-  // threads too (idempotent if a reaper already did).
+  // Live nodes drain every accepted request, so every live reply has
+  // fired; killed nodes join their threads too (idempotent if a reaper
+  // already did).
   for (auto& n : nodes_) n->server->shutdown();
   for (size_t k = 0; k < nodes_.size(); ++k) {
     Node& n = *nodes_[k];
     std::lock_guard<std::mutex> lk(n.mu);
     n.accepting = false;
-    for (auto& p : n.pending) {
-      if (n.killed.load(std::memory_order_acquire)) {
-        // Black-hole contract: a killed node's answers are lost even if
-        // its threads computed them before the drain.
-        p.out.set_exception(std::make_exception_ptr(NodeFailedError(
-            k, "fleet: node " + std::to_string(k) + " killed at shutdown")));
-        settled_error_c_->inc();
-      } else {
-        settle_value(p);  // inner future is ready after the drain
-      }
+    if (!n.killed.load(std::memory_order_acquire)) continue;
+    // Black-hole contract: a killed node's answers are lost even if its
+    // threads computed them before the drain.
+    for (auto& [id, p] : n.pending) {
+      p.out.set_exception(std::make_exception_ptr(NodeFailedError(
+          k, "fleet: node " + std::to_string(k) + " killed at shutdown")));
+      settled_error_c_->inc();
     }
     n.pending.clear();
   }
@@ -199,35 +190,49 @@ std::future<sc::InferenceResult> FleetRouter::submit(Tensor x,
                                                      FleetSubmitOptions opts) {
   if (stopped_.load(std::memory_order_acquire))
     throw std::runtime_error("FleetRouter: submit after shutdown");
+  Pending p;
+  p.x = std::move(x);  // retained for transparent re-submit after a death
+  p.opts = opts.base;
+  p.idempotent = opts.idempotent;
+  p.failovers_left = cfg_.max_failovers;
+  std::future<sc::InferenceResult> out = p.out.get_future();
+  if (!place(p, submitted_c_))
+    throw NodeFailedError(nodes_.size(), "fleet: no live node to route to");
+  return out;
+}
+
+bool FleetRouter::place(Pending& p, telemetry::Counter* placed) {
+  Tensor x = p.x;
+  const serve::SubmitOptions opts = p.opts;
   // One retry per node covers the race where the pick dies between
   // live() and the lock; rendezvous never re-picks a dead node.
   for (size_t attempt = 0; attempt <= nodes_.size(); ++attempt) {
     const std::vector<size_t> live = membership_.live();
-    if (live.empty()) break;
-    const size_t k = rendezvous_pick(opts.base.client_id, live);
-    Node& n = *nodes_[k];
-    std::lock_guard<std::mutex> lk(n.mu);
-    if (!n.accepting) continue;
-    Pending p;
-    p.x = x;  // retained for transparent re-submit after a node death
-    p.opts = opts.base;
-    p.idempotent = opts.idempotent;
-    p.failovers_left = cfg_.max_failovers;
-    std::future<sc::InferenceResult> out = p.out.get_future();
-    try {
-      p.in = n.server->submit(std::move(x), opts.base);
-    } catch (...) {
-      p.out.set_exception(std::current_exception());
-      settled_error_c_->inc();
-      submitted_c_->inc();
-      return out;
+    if (live.empty()) return false;
+    Node& n = *nodes_[rendezvous_pick(opts.client_id, live)];
+    uint64_t id = 0;
+    {
+      std::lock_guard<std::mutex> lk(n.mu);
+      if (!n.accepting) continue;
+      id = n.next_id++;
+      n.pending.emplace(id, std::move(p));
     }
-    n.pending.push_back(std::move(p));
-    submitted_c_->inc();
+    placed->inc();
     n.submitted_c->inc();
-    return out;
+    // Unlocked: the reply takes n.mu, and a Block-policy node's submit
+    // waits for a worker that may be replying.
+    try {
+      n.server->submit(std::move(x), opts,
+                       [this, &n, id](std::exception_ptr err,
+                                      sc::InferenceResult value) {
+                         settle(n, id, std::move(err), std::move(value));
+                       });
+    } catch (...) {
+      settle(n, id, std::current_exception(), {});
+    }
+    return true;
   }
-  throw NodeFailedError(nodes_.size(), "fleet: no live node to route to");
+  return false;
 }
 
 size_t FleetRouter::route(uint64_t client_id) const {
@@ -250,48 +255,33 @@ const serve::ScServer& FleetRouter::node_server(size_t k) const {
 void FleetRouter::kill_node(size_t k) {
   check_arg(k < nodes_.size(), "FleetRouter: node out of range");
   // Black-hole, not shutdown: the server's threads keep running (they
-  // are the "unreachable process"), but no answer escapes — the settler
-  // stops forwarding and the prober stops getting acks. Detection and
+  // are the "unreachable process"), but no answer escapes — its replies
+  // are dropped and the prober stops getting acks. Detection and
   // cleanup are the SWIM layer's job, exactly as with a real crash.
   nodes_[k]->killed.store(true, std::memory_order_release);
 }
 
-void FleetRouter::settler_loop(size_t k) {
-  Node& n = *nodes_[k];
-  while (!stopped_.load(std::memory_order_acquire)) {
-    {
-      std::lock_guard<std::mutex> lk(n.mu);
-      if (!n.killed.load(std::memory_order_acquire)) sweep_locked(n);
-    }
-    std::unique_lock<std::mutex> wl(wake_mu_);
-    wake_cv_.wait_for(wl, kSettlePoll, [this] {
-      return stopped_.load(std::memory_order_acquire);
-    });
+void FleetRouter::settle(Node& n, uint64_t id, std::exception_ptr err,
+                         sc::InferenceResult value) {
+  std::promise<sc::InferenceResult> out;
+  {
+    std::lock_guard<std::mutex> lk(n.mu);
+    // A killed node's answer never escapes, and an entry declare_dead
+    // orphaned is no longer this node's to settle.
+    const auto it = n.pending.find(id);
+    if (n.killed.load(std::memory_order_acquire) || it == n.pending.end())
+      return;
+    out = std::move(it->second.out);
+    n.pending.erase(it);
   }
-}
-
-void FleetRouter::sweep_locked(Node& n) {
-  for (size_t i = 0; i < n.pending.size();) {
-    if (n.pending[i].in.wait_for(std::chrono::seconds(0)) ==
-        std::future_status::ready) {
-      settle_value(n.pending[i]);
-      n.pending[i] = std::move(n.pending.back());
-      n.pending.pop_back();
-    } else {
-      ++i;
-    }
-  }
-}
-
-void FleetRouter::settle_value(Pending& p) {
-  try {
-    p.out.set_value(p.in.get());
-    settled_value_c_->inc();
-  } catch (...) {
-    // Typed serve-layer errors (deadline, rejection, wire) pass through
-    // unchanged — the fleet only re-writes *node-death* outcomes.
-    p.out.set_exception(std::current_exception());
+  // Typed serve-layer errors (deadline, rejection, wire) pass through
+  // unchanged — the fleet only re-writes *node-death* outcomes.
+  if (err) {
+    out.set_exception(std::move(err));
     settled_error_c_->inc();
+  } else {
+    out.set_value(std::move(value));
+    settled_value_c_->inc();
   }
 }
 
@@ -372,7 +362,7 @@ void FleetRouter::declare_dead(size_t k) {
   Node& n = *nodes_[k];
   membership_.apply(k, NodeState::kDead, membership_.get(k).incarnation);
   deaths_c_->inc();
-  std::vector<Pending> orphans;
+  std::map<uint64_t, Pending> orphans;
   {
     std::lock_guard<std::mutex> lk(n.mu);
     // Also black-holes a falsely-declared node (alive but partitioned):
@@ -384,7 +374,7 @@ void FleetRouter::declare_dead(size_t k) {
   }
   // Restore capacity before re-routing the orphans onto the survivors.
   if (cfg_.rebuild) rebuild_from(k);
-  for (auto& p : orphans) failover(std::move(p), k);
+  for (auto& [id, p] : orphans) failover(std::move(p), k);
   // The dead server's threads are reaped off the prober thread: shutdown
   // joins workers, which can take a batch's worth of time.
   reapers_.emplace_back([&n] { n.server->shutdown(); });
@@ -406,35 +396,11 @@ void FleetRouter::rebuild_from(size_t dead) {
 }
 
 void FleetRouter::failover(Pending p, size_t dead) {
-  const std::string died =
-      "fleet: node " + std::to_string(dead) + " died before answering";
-  if (!p.idempotent || p.failovers_left <= 0) {
-    p.out.set_exception(
-        std::make_exception_ptr(NodeFailedError(dead, died)));
-    settled_error_c_->inc();
+  if (p.idempotent && p.failovers_left-- > 0 && place(p, failovers_c_))
     return;
-  }
-  --p.failovers_left;
-  for (size_t attempt = 0; attempt <= nodes_.size(); ++attempt) {
-    const std::vector<size_t> live = membership_.live();
-    if (live.empty()) break;
-    const size_t t = rendezvous_pick(p.opts.client_id, live);
-    Node& n = *nodes_[t];
-    std::lock_guard<std::mutex> lk(n.mu);
-    if (!n.accepting) continue;
-    try {
-      p.in = n.server->submit(Tensor(p.x), p.opts);
-    } catch (...) {
-      p.out.set_exception(std::current_exception());
-      settled_error_c_->inc();
-      return;
-    }
-    n.pending.push_back(std::move(p));
-    failovers_c_->inc();
-    n.submitted_c->inc();
-    return;
-  }
-  p.out.set_exception(std::make_exception_ptr(NodeFailedError(dead, died)));
+  p.out.set_exception(std::make_exception_ptr(NodeFailedError(
+      dead,
+      "fleet: node " + std::to_string(dead) + " died before answering")));
   settled_error_c_->inc();
 }
 

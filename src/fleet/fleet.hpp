@@ -27,13 +27,15 @@
 //    node every worker pops the server's one queue.
 //
 //  * Rebuild + exactly-once settlement. Every outstanding request is a
-//    Pending entry on exactly one node's list, moved only under that
-//    node's mutex. A killed node black-holes: its results are never
-//    forwarded (the "process" can no longer answer). When the prober
-//    declares it dead, its list is swapped out atomically and each
-//    orphan is settled exactly once — transparently re-submitted to a
-//    survivor when the request is idempotent and has failover budget
-//    left, else failed with the typed NodeFailedError. Replica capacity
+//    Pending entry in exactly one node's map, moved only under that
+//    node's mutex. The node's reply (serve::Reply) takes the entry out
+//    and settles the client's future on the thread that finished the
+//    request. A killed node black-holes: its replies are dropped (the
+//    "process" can no longer answer). When the prober declares it dead,
+//    its map is swapped out atomically and each orphan is settled
+//    exactly once — transparently re-submitted to a survivor when the
+//    request is idempotent and has failover budget left, else failed
+//    with the typed NodeFailedError. Replica capacity
 //    lost with the node is re-minted on the survivors through
 //    ScServer::add_replicas (copy_model_state + Channel::fork), so the
 //    rebuilt fleet serves the same logits bitwise.
@@ -43,6 +45,7 @@
 #include <condition_variable>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -164,7 +167,7 @@ class FleetRouter {
   /// Boots cfg.nodes ScServer nodes, each holding cfg.replicas_per_node
   /// replicas minted from cfg.make_replica with weights copied bitwise
   /// from @p prototype (which must outlive the router), then starts the
-  /// per-node settler threads and the SWIM prober.
+  /// SWIM prober, the router's one thread of its own.
   FleetRouter(core::MtlSplitModel& prototype, sc::DeviceProfile edge,
               sc::DeviceProfile server, FleetConfig cfg);
   ~FleetRouter();
@@ -175,8 +178,10 @@ class FleetRouter {
   /// opts.base.client_id. The returned future settles exactly once:
   /// with the inference result, with the node's own typed admission /
   /// deadline error, or with NodeFailedError after an unrecoverable node
-  /// death. Throws std::runtime_error after shutdown() and
-  /// NodeFailedError when no live node remains.
+  /// death. It settles on the thread that finished the request: the
+  /// node's worker, or this call for an admission refusal. Throws
+  /// std::runtime_error after shutdown() and NodeFailedError when no
+  /// live node remains.
   std::future<sc::InferenceResult> submit(Tensor x,
                                           FleetSubmitOptions opts = {});
 
@@ -200,9 +205,9 @@ class FleetRouter {
 
   size_t num_nodes() const { return nodes_.size(); }
 
-  /// Stops the prober and settlers, shuts every node down (live nodes
-  /// drain), and settles every still-pending future — forwarded results
-  /// for live nodes, NodeFailedError for killed ones. Idempotent.
+  /// Stops the prober and shuts every node down. Live nodes drain, so
+  /// every one of their futures has settled; a killed node's still-
+  /// pending futures settle with NodeFailedError. Idempotent.
   void shutdown();
 
   FleetStats stats() const;
@@ -213,12 +218,11 @@ class FleetRouter {
   const serve::ScServer& node_server(size_t k) const;
 
  private:
-  /// One outstanding request. Lives on exactly one node's pending list;
+  /// One outstanding request. Lives in exactly one node's pending map;
   /// every move happens under that node's mutex, which is what makes
   /// settlement exactly-once across failover.
   struct Pending {
     std::promise<sc::InferenceResult> out;
-    std::future<sc::InferenceResult> in;
     Tensor x;  ///< retained so a failover can re-submit the same input
     serve::SubmitOptions opts;
     bool idempotent = true;
@@ -230,16 +234,15 @@ class FleetRouter {
     std::unique_ptr<serve::ScServer> server;
     std::unique_ptr<sc::Channel> control;  ///< prober-thread only
 
-    std::mutex mu;  ///< guards pending + accepting
-    std::vector<Pending> pending;
+    std::mutex mu;  ///< guards pending, next_id and accepting
+    std::map<uint64_t, Pending> pending;  ///< keyed by a node-local id
+    uint64_t next_id = 0;
     bool accepting = true;
     std::atomic<bool> killed{false};
 
     // Prober-thread-only SWIM state.
     uint64_t self_incarnation = 0;  ///< the simulated node's own view
     int misses = 0;
-
-    std::thread settler;
 
     telemetry::Gauge* state_g = nullptr;
     telemetry::Gauge* incarnation_g = nullptr;
@@ -248,11 +251,14 @@ class FleetRouter {
     telemetry::Counter* probes_missed_c = nullptr;
   };
 
-  void settler_loop(size_t k);
-  /// Forwards every ready inner future of node @p k to its outer promise
-  /// and drops the entry. Caller holds nodes_[k]->mu.
-  void sweep_locked(Node& n);
-  void settle_value(Pending& p);
+  /// Puts @p p in the map of the live node rendezvous picks, counts it
+  /// in @p placed and submits it there, unlocked; false (@p p untouched)
+  /// when no live node accepts.
+  bool place(Pending& p, telemetry::Counter* placed);
+  /// Node @p n's reply for entry @p id: settles the client's future,
+  /// unless the node is killed or declare_dead already took the entry.
+  void settle(Node& n, uint64_t id, std::exception_ptr err,
+              sc::InferenceResult value);
 
   void prober_loop();
   /// One ping/ack round trip to node @p k over its control channel.
@@ -280,7 +286,7 @@ class FleetRouter {
   telemetry::Counter* acks_c_ = nullptr;
   telemetry::Gauge* live_nodes_g_ = nullptr;
 
-  std::mutex wake_mu_;  ///< pairs with wake_cv_ for prober + settlers
+  std::mutex wake_mu_;  ///< pairs with wake_cv_ for the prober
   std::condition_variable wake_cv_;
   std::atomic<bool> stopped_{false};
 

@@ -27,15 +27,33 @@ std::exception_ptr make_expired_error(ExpiryPhase phase) {
   return std::make_exception_ptr(DeadlineExceededError(what, phase));
 }
 
-void settle_all(Request& r, const std::exception_ptr& err) {
-  if (r.streaming) {
-    for (auto& p : r.chunk_promises) p.set_exception(err);
-  } else {
-    r.promise.set_exception(err);
-  }
+Request make_request(Tensor x, const SubmitOptions& opts) {
+  check_arg(x.dim() == 4 && x.size(0) >= 1,
+            "RequestQueue::submit: input must be [B, C, H, W] with B >= 1");
+  Request r;
+  r.x = std::move(x);
+  r.priority = opts.priority;
+  r.client_id = opts.client_id;
+  r.deadline = opts.deadline;
+  if (opts.ttl.count() > 0)
+    r.deadline =
+        std::min(r.deadline, std::chrono::steady_clock::now() + opts.ttl);
+  return r;
 }
 
 }  // namespace
+
+void settle_value(Request& r, sc::InferenceResult value) {
+  r.reply(nullptr, std::move(value));
+}
+
+void settle_error(Request& r, std::exception_ptr err) {
+  if (r.streaming) {
+    for (auto& p : r.chunk_promises) p.set_exception(err);
+  } else {
+    r.reply(std::move(err), {});
+  }
+}
 
 size_t expire_overdue(std::vector<Request>& batch,
                       std::chrono::steady_clock::time_point now) {
@@ -44,7 +62,7 @@ size_t expire_overdue(std::vector<Request>& batch,
     if (batch[i].expired(now)) {
       Request dead = std::move(batch[i]);
       ++dropped;
-      settle_all(dead, make_expired_error(ExpiryPhase::kDispatch));
+      settle_error(dead, make_expired_error(ExpiryPhase::kDispatch));
     } else {
       if (kept != i) batch[kept] = std::move(batch[i]);
       ++kept;
@@ -99,10 +117,6 @@ void RequestQueue::note_admitted_locked() {
 
 void RequestQueue::note_depth_locked() {
   if (tm_.depth) tm_.depth->set(static_cast<double>(total_));
-}
-
-void RequestQueue::settle_error(Request& r, std::exception_ptr err) {
-  settle_all(r, err);
 }
 
 void RequestQueue::settle_rejected(Request& r, bool shed) {
@@ -185,7 +199,7 @@ void RequestQueue::erase_lane(ClassState& cs,
   }
 }
 
-void RequestQueue::shed_one(size_t cls) {
+void RequestQueue::shed_one(size_t cls, std::vector<Request>& victims) {
   // Victim: the oldest (smallest-id) queued request of the class — each
   // lane is FIFO, so only lane heads are candidates.
   ClassState& cs = classes_[cls];
@@ -194,7 +208,7 @@ void RequestQueue::shed_one(size_t cls) {
     if (victim == cs.active.end() || it->q.front().id < victim->q.front().id)
       victim = it;
   check_arg(victim != cs.active.end(), "RequestQueue: shed from empty class");
-  Request r = std::move(victim->q.front());
+  victims.push_back(std::move(victim->q.front()));
   victim->q.pop_front();
   --cs.depth;
   --total_;
@@ -202,11 +216,11 @@ void RequestQueue::shed_one(size_t cls) {
   ++shed_;
   if (tm_.shed) tm_.shed->inc();
   note_depth_locked();
-  settle_rejected(r, /*shed=*/true);
 }
 
 void RequestQueue::enqueue_or_reject(Request&& r) {
   const size_t cls = static_cast<size_t>(r.priority);
+  std::vector<Request> shed;  // ShedOldest victims, settled after unlocking
   {
     std::unique_lock<std::mutex> lk(mu_);
     if (closed_) throw std::runtime_error("RequestQueue: submit after close");
@@ -277,7 +291,7 @@ void RequestQueue::enqueue_or_reject(Request&& r) {
         // outranks the newcomer, the newcomer itself is rejected.
         while (cfg_.class_capacity[cls] != 0 &&
                classes_[cls].depth >= cfg_.class_capacity[cls])
-          shed_one(cls);
+          shed_one(cls, shed);
         while (cfg_.capacity != 0 && total_ >= cfg_.capacity) {
           size_t victim_cls = kNumPriorityClasses;
           for (size_t c = kNumPriorityClasses; c-- > cls;)
@@ -290,10 +304,11 @@ void RequestQueue::enqueue_or_reject(Request&& r) {
             if (tm_.rejected) tm_.rejected->inc();
             refund_quota(r.client_id, quota_spent);
             lk.unlock();
+            for (Request& v : shed) settle_rejected(v, /*shed=*/true);
             settle_rejected(r, /*shed=*/false);
             return;
           }
-          shed_one(victim_cls);
+          shed_one(victim_cls, shed);
         }
         break;
     }
@@ -311,37 +326,33 @@ void RequestQueue::enqueue_or_reject(Request&& r) {
     note_admitted_locked();
   }
   ready_cv_.notify_one();
+  for (Request& v : shed) settle_rejected(v, /*shed=*/true);
+}
+
+void RequestQueue::submit(Tensor x, SubmitOptions opts, Reply reply) {
+  Request r = make_request(std::move(x), opts);
+  r.reply = std::move(reply);
+  enqueue_or_reject(std::move(r));
 }
 
 std::future<sc::InferenceResult> RequestQueue::submit(Tensor x,
                                                       SubmitOptions opts) {
-  check_arg(x.dim() == 4 && x.size(0) >= 1,
-            "RequestQueue::submit: input must be [B, C, H, W] with B >= 1");
-  Request r;
-  r.x = std::move(x);
-  r.priority = opts.priority;
-  r.client_id = opts.client_id;
-  r.deadline = opts.deadline;
-  if (opts.ttl.count() > 0)
-    r.deadline =
-        std::min(r.deadline, std::chrono::steady_clock::now() + opts.ttl);
-  std::future<sc::InferenceResult> fut = r.promise.get_future();
-  enqueue_or_reject(std::move(r));
+  auto p = std::make_shared<std::promise<sc::InferenceResult>>();
+  std::future<sc::InferenceResult> fut = p->get_future();
+  submit(std::move(x), opts,
+         [p](std::exception_ptr err, sc::InferenceResult value) {
+           if (err) {
+             p->set_exception(std::move(err));
+           } else {
+             p->set_value(std::move(value));
+           }
+         });
   return fut;
 }
 
 std::vector<std::future<sc::InferenceResult>> RequestQueue::submit_stream(
     Tensor x, SubmitOptions opts) {
-  check_arg(x.dim() == 4 && x.size(0) >= 1,
-            "RequestQueue::submit_stream: input must be [B, C, H, W]");
-  Request r;
-  r.x = std::move(x);
-  r.priority = opts.priority;
-  r.client_id = opts.client_id;
-  r.deadline = opts.deadline;
-  if (opts.ttl.count() > 0)
-    r.deadline =
-        std::min(r.deadline, std::chrono::steady_clock::now() + opts.ttl);
+  Request r = make_request(std::move(x), opts);
   r.streaming = true;
   r.chunk_promises.resize(static_cast<size_t>(r.rows()));
   std::vector<std::future<sc::InferenceResult>> futs;

@@ -1,8 +1,9 @@
 // Multi-client request intake for the serving layer (DESIGN.md §8).
 //
-// N client threads submit single-sample (or small-batch) inputs and get a
-// future for the per-task logits back; the server side pops requests —
-// singly or, via serve::DynamicBatcher, in coalesced batches.
+// N client threads submit single-sample (or small-batch) inputs and get
+// the per-task logits back through a reply sink (serve::Reply) or a
+// future; the server side pops requests — singly or, via
+// serve::DynamicBatcher, in coalesced batches.
 //
 // Dequeue order is priority-then-fairness: strict priority across the
 // three classes (kHigh before kNormal before kLow), and within a class a
@@ -42,6 +43,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <list>
 #include <mutex>
@@ -152,8 +154,16 @@ struct SubmitOptions {
   std::chrono::microseconds ttl{0};
 };
 
-/// One in-flight client request: the input plus the promise(s) its logits
-/// (or its error) will be delivered through.
+/// A non-streaming request's reply sink. It runs exactly once: with a null
+/// @p err and the request's logits in @p value, or with the error and an
+/// empty value. It runs on the thread that settles the request (the worker
+/// that served it, or the submitter whose admission refused or shed it)
+/// and never under the queue's lock, so it may call back into the queue.
+using Reply =
+    std::function<void(std::exception_ptr err, sc::InferenceResult value)>;
+
+/// One in-flight client request: the input plus where its logits (or its
+/// error) will be delivered.
 struct Request {
   uint64_t id = 0;
   Tensor x;  ///< [B, C, H, W]; B >= 1 (B > 1 = client-side batch)
@@ -162,8 +172,8 @@ struct Request {
   bool streaming = false;
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
-  /// Settled exactly once when !streaming.
-  std::promise<sc::InferenceResult> promise;
+  /// Run exactly once when !streaming, through settle_value/settle_error.
+  Reply reply;
   /// One promise per sample row when streaming: chunk i is settled as the
   /// pipeline emits row i (ScDeployment::infer_stream + on_item).
   std::vector<std::promise<sc::InferenceResult>> chunk_promises;
@@ -174,6 +184,12 @@ struct Request {
     return deadline <= now;
   }
 };
+
+/// Settles non-streaming @p r with its logits: runs r.reply.
+void settle_value(Request& r, sc::InferenceResult value);
+/// Settles @p r with @p err: runs r.reply, or fails every chunk promise of
+/// a streaming request.
+void settle_error(Request& r, std::exception_ptr err);
 
 /// Settles every request in @p batch whose deadline has passed @p now with
 /// DeadlineExceededError (phase kDispatch) and removes it, preserving the
@@ -191,12 +207,15 @@ class RequestQueue {
   }
   explicit RequestQueue(AdmissionConfig cfg);
 
-  /// Enqueues @p x and returns the future its result arrives on. Throws
+  /// Enqueues @p x; its outcome goes to @p reply. Throws
   /// std::runtime_error once the queue is closed, std::invalid_argument
-  /// for malformed input. The returned future may already be settled:
-  /// DeadlineExceededError (deadline pre-expired), ThrottledError (quota),
-  /// or RejectedError (Reject at capacity). Under ShedOldest the newcomer
-  /// is admitted and some older queued request's future gets RejectedError.
+  /// for malformed input, and then never runs @p reply. A refusal runs
+  /// @p reply before submit returns: DeadlineExceededError (deadline
+  /// pre-expired), ThrottledError (quota), or RejectedError (Reject at
+  /// capacity). Under ShedOldest the newcomer is admitted and some older
+  /// queued request's reply gets RejectedError.
+  void submit(Tensor x, SubmitOptions opts, Reply reply);
+  /// submit() with a reply that fills the returned future.
   std::future<sc::InferenceResult> submit(Tensor x, SubmitOptions opts = {});
 
   /// Streaming submission: the request is served through the pipelined
@@ -273,7 +292,9 @@ class RequestQueue {
 
   void enqueue_or_reject(Request&& r);  // applies the admission gate
   bool full_for(size_t cls) const;      // locked
-  void shed_one(size_t cls);            // locked; evicts ShedOldest victim
+  /// Locked. Moves the ShedOldest victim of class @p cls into @p victims
+  /// (settle them after unlocking).
+  void shed_one(size_t cls, std::vector<Request>& victims);
   const QuotaSpec& quota_for(uint64_t client_id) const;  // locked
   /// Locked. Returns true when the quota admits r (tokens consumed,
   /// *cost_consumed set); false with *retry_after_s filled when it
@@ -295,7 +316,6 @@ class RequestQueue {
   void note_depth_locked();
 
   static void settle_rejected(Request& r, bool shed);
-  static void settle_error(Request& r, std::exception_ptr err);
   static void settle_expired_list(std::vector<Request>& expired,
                                   ExpiryPhase phase);
 

@@ -112,6 +112,11 @@ void ScServer::start(std::vector<core::MtlSplitModel*>& replicas,
 
 ScServer::~ScServer() { shutdown(); }
 
+void ScServer::submit(Tensor x, SubmitOptions opts, Reply reply) {
+  stats_.on_submit();
+  queue_.submit(std::move(x), opts, std::move(reply));
+}
+
 std::future<sc::InferenceResult> ScServer::submit(Tensor x,
                                                   SubmitOptions opts) {
   stats_.on_submit();
@@ -205,7 +210,7 @@ void ScServer::serve_plain(Worker& w, std::vector<Request>& batch) {
     rows_of.push_back(r.x.size(0));
     parts.push_back(std::move(r.x));
   }
-  size_t settled = 0;      // requests whose promise has been fulfilled
+  size_t settled = 0;      // requests whose reply has run
   bool counted = false;    // stats_.on_batch already recorded this batch
   bool infer_ran = false;  // infer_batch was entered (its traffic tally is live)
   try {
@@ -227,10 +232,10 @@ void ScServer::serve_plain(Worker& w, std::vector<Request>& batch) {
       for (size_t k = 0; k < rows && !err; ++k)
         err = br.items[row + k].error;
       if (err) {
-        r.promise.set_exception(err);
+        settle_error(r, err);
         stats_.on_request(seconds_between(r.enqueued_at, now), false);
       } else if (rows == 1) {
-        r.promise.set_value(std::move(br.items[row].result));
+        settle_value(r, std::move(br.items[row].result));
         stats_.on_request(seconds_between(r.enqueued_at, now), true);
       } else {
         sc::InferenceResult merged;
@@ -249,7 +254,7 @@ void ScServer::serve_plain(Worker& w, std::vector<Request>& batch) {
           merged.latency.server_compute_s += lat.server_compute_s;
           merged.latency.wire += lat.wire;
         }
-        r.promise.set_value(std::move(merged));
+        settle_value(r, std::move(merged));
         stats_.on_request(seconds_between(r.enqueued_at, now), true);
       }
       settled = i + 1;
@@ -258,9 +263,8 @@ void ScServer::serve_plain(Worker& w, std::vector<Request>& batch) {
   } catch (...) {
     // Whole-batch failure (e.g. a shape mismatch between coalesced
     // requests, or an allocation failure mid-scatter): every owner whose
-    // promise is still open learns why. Requests settled before the
-    // throw keep their results — touching their promise again would
-    // raise std::future_error and kill the worker.
+    // reply has not run learns why. Requests settled before the throw
+    // keep their results — a reply runs exactly once.
     const std::exception_ptr err = std::current_exception();
     if (!counted) {
       // The wire work already happened even though the batch failed: a
@@ -275,7 +279,7 @@ void ScServer::serve_plain(Worker& w, std::vector<Request>& batch) {
     }
     const auto now = std::chrono::steady_clock::now();
     for (size_t i = settled; i < batch.size(); ++i) {
-      batch[i].promise.set_exception(err);
+      settle_error(batch[i], err);
       stats_.on_request(seconds_between(batch[i].enqueued_at, now), false);
     }
   }

@@ -3,7 +3,7 @@
 //
 //   client threads --submit()--> RequestQueue --batcher--> workers
 //        ^                                                    |
-//        '-- future<InferenceResult> <-- scatter per-task logits
+//        '-- reply / future<InferenceResult> <-- scatter per-task logits
 //
 // The server owns one RequestQueue (admission control, tenant quotas,
 // DRR fairness) and one worker per replica; every worker pops that
@@ -113,6 +113,10 @@ class ScServer {
   /// RejectedError instead of ever blocking. Throws std::runtime_error
   /// after shutdown().
   std::future<sc::InferenceResult> submit(Tensor x, SubmitOptions opts = {});
+  /// submit() delivering the outcome to @p reply instead of a future: run
+  /// once, by the worker that served the request or inside this call for
+  /// an admission refusal, never under the queue's lock (serve::Reply).
+  void submit(Tensor x, SubmitOptions opts, Reply reply);
 
   /// Streaming request: each sample row of @p x gets its own future,
   /// settled in row order as the pipelined deployment emits chunks.

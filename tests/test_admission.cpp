@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
+#include <memory>
 #include <random>
 #include <thread>
 
@@ -55,12 +57,12 @@ TEST(Admission, RejectDeliversTypedErrorInsteadOfBlocking) {
   EXPECT_EQ(q.size(), 2u);
   serve::Request r;
   ASSERT_TRUE(q.pop(r));
-  r.promise.set_value(dummy_result());
+  serve::settle_value(r, dummy_result());
   EXPECT_EQ(settle_kind(f1), 0);
   auto f4 = q.submit(tiny_input());  // space again: admitted
   EXPECT_EQ(q.size(), 2u);
   q.close();
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) serve::settle_value(r, dummy_result());
   EXPECT_EQ(settle_kind(f2), 0);
   EXPECT_EQ(settle_kind(f4), 0);
 }
@@ -76,7 +78,7 @@ TEST(Admission, PerClassDepthLimitBindsIndependently) {
   EXPECT_EQ(q.size(), 2u);  // high class has no limit
   q.close();
   serve::Request r;
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) serve::settle_value(r, dummy_result());
   EXPECT_EQ(settle_kind(f1), 0);
   EXPECT_EQ(settle_kind(f3), 0);
 }
@@ -97,9 +99,9 @@ TEST(Admission, ShedOldestEvictsOldestOfLowestBackloggedClass) {
   serve::Request r;
   ASSERT_TRUE(q.pop(r));
   EXPECT_EQ(r.priority, serve::Priority::kHigh);  // priority pop order
-  r.promise.set_value(dummy_result());
+  serve::settle_value(r, dummy_result());
   q.close();
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) serve::settle_value(r, dummy_result());
   EXPECT_EQ(settle_kind(f_high), 0);
   EXPECT_EQ(settle_kind(f_norm), 0);
 }
@@ -118,7 +120,7 @@ TEST(Admission, ShedOldestNeverInvertsPriority) {
   EXPECT_EQ(q.size(), 2u);  // both high requests survived
   q.close();
   serve::Request r;
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) serve::settle_value(r, dummy_result());
   EXPECT_EQ(settle_kind(f_h1), 0);
   EXPECT_EQ(settle_kind(f_h2), 0);
 }
@@ -132,8 +134,48 @@ TEST(Admission, StreamRejectionSettlesEveryChunkFuture) {
   for (auto& c : chunks) EXPECT_EQ(settle_kind(c), 1);
   q.close();
   serve::Request r;
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) serve::settle_value(r, dummy_result());
   EXPECT_EQ(settle_kind(f1), 0);
+}
+
+TEST(Admission, ShedVictimIsSettledAfterTheQueueLockIsReleased) {
+  // The victim's reply calls back into the queue, as a fleet node's reply
+  // takes the router's locks. Run under the queue's lock, it would
+  // deadlock the shedding submit, so that submit runs on a helper thread
+  // with a 5 s watchdog. The helper shares ownership of everything it
+  // touches, so a hung helper can be left behind without dangling.
+  serve::AdmissionConfig cfg;
+  cfg.policy = serve::AdmissionPolicy::kShedOldest;
+  cfg.capacity = 1;
+  auto q = std::make_shared<serve::RequestQueue>(cfg);
+  auto depth_seen = std::make_shared<std::atomic<int64_t>>(-1);
+  auto victim = std::make_shared<std::promise<sc::InferenceResult>>();
+  auto f_victim = victim->get_future();
+  q->submit(tiny_input(), {},
+            [raw = q.get(), depth_seen, victim](std::exception_ptr err,
+                                                sc::InferenceResult) {
+              depth_seen->store(static_cast<int64_t>(raw->size()));
+              victim->set_exception(err);
+            });
+  auto f_newcomer = std::make_shared<std::future<sc::InferenceResult>>();
+  auto returned = std::make_shared<std::promise<void>>();
+  auto f_returned = returned->get_future();
+  std::thread shedder([q, f_newcomer, returned] {
+    *f_newcomer = q->submit(tiny_input());
+    returned->set_value();
+  });
+  if (f_returned.wait_for(5s) != std::future_status::ready) {
+    shedder.detach();
+    FAIL() << "the shedding submit did not return within 5 s: its victim "
+              "was settled under the queue's lock";
+  }
+  shedder.join();
+  EXPECT_EQ(settle_kind(f_victim), 2);
+  EXPECT_EQ(depth_seen->load(), 1);  // the newcomer was already queued
+  serve::Request r;
+  ASSERT_TRUE(q->pop(r));
+  serve::settle_value(r, dummy_result());
+  EXPECT_EQ(settle_kind(*f_newcomer), 0);
 }
 
 // ------------------------------------------------- priority + DRR fairness
@@ -146,10 +188,10 @@ TEST(Fairness, HighPriorityJumpsTheBacklog) {
   serve::Request r;
   ASSERT_TRUE(q.pop(r));
   EXPECT_EQ(r.priority, serve::Priority::kHigh);
-  r.promise.set_value(dummy_result());
+  serve::settle_value(r, dummy_result());
   EXPECT_EQ(settle_kind(fut), 0);
   q.close();
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) serve::settle_value(r, dummy_result());
 }
 
 TEST(Fairness, FloodingClientCannotStarveOthers) {
@@ -166,11 +208,11 @@ TEST(Fairness, FloodingClientCannotStarveOthers) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(q.pop(r));
     small_served += r.client_id == 2 ? 1 : 0;
-    r.promise.set_value(dummy_result());
+    serve::settle_value(r, dummy_result());
   }
   EXPECT_EQ(small_served, 5);
   q.close();
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) serve::settle_value(r, dummy_result());
   for (auto& f : futs) EXPECT_EQ(settle_kind(f), 0);
 }
 
@@ -188,13 +230,13 @@ TEST(Fairness, DeficitAccountsRowsNotRequests) {
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(q.pop(r));
     (r.client_id == 1 ? rows1 : rows2) += r.rows();
-    r.promise.set_value(dummy_result());
+    serve::settle_value(r, dummy_result());
   }
   // Both lanes stayed backlogged for all 20 pops: row counts match within
   // one maximal request cost.
   EXPECT_LE(std::abs(rows1 - rows2), 4);
   q.close();
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) serve::settle_value(r, dummy_result());
 }
 
 TEST(Fairness, LargeRequestsServeWithoutQuantumSpin) {
@@ -207,10 +249,10 @@ TEST(Fairness, LargeRequestsServeWithoutQuantumSpin) {
   serve::Request r;
   ASSERT_TRUE(q.pop(r));
   EXPECT_EQ(r.client_id, 2u);  // cost 32 funded before cost 64
-  r.promise.set_value(dummy_result());
+  serve::settle_value(r, dummy_result());
   ASSERT_TRUE(q.pop(r));
   EXPECT_EQ(r.client_id, 1u);
-  r.promise.set_value(dummy_result());
+  serve::settle_value(r, dummy_result());
   EXPECT_EQ(settle_kind(f1), 0);
   EXPECT_EQ(settle_kind(f2), 0);
 }
@@ -245,7 +287,7 @@ SweepOutcome run_queue_sweep(serve::AdmissionConfig cfg, uint64_t seed,
         if (r.streaming) {
           for (auto& p : r.chunk_promises) p.set_value(dummy_result());
         } else {
-          r.promise.set_value(dummy_result());
+          serve::settle_value(r, dummy_result());
         }
       }
     });

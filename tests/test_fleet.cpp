@@ -238,6 +238,102 @@ TEST(FleetE2E, ServesBitwiseIdenticalToSequentialInfer) {
   EXPECT_NE(router.telemetry_json().find("\"fleet\""), std::string::npos);
 }
 
+/// Asserts that @p got equals the sequential reference for @p x bitwise.
+void expect_bitwise(FleetRig& rig, const Tensor& x,
+                    const sc::InferenceResult& got) {
+  const sc::InferenceResult want = rig.reference(x);
+  ASSERT_EQ(got.logits.size(), want.logits.size());
+  for (size_t j = 0; j < want.logits.size(); ++j)
+    EXPECT_TRUE(got.logits[j].equals(want.logits[j])) << "task " << j;
+}
+
+TEST(FleetE2E, NodeRefusalsSettleTypedThroughTheRouter) {
+  // A node's own admission refusals reach the router's future unchanged.
+  // The node's reply runs inside its submit, on the caller's thread, so
+  // each refusal has settled by the time router.submit() returns.
+  FleetRig rig;
+  fleet::FleetConfig cfg = rig.fleet_cfg(1);
+  cfg.serve.admission.quota = {.rate = 1e-3, .burst = 1};
+  fleet::FleetRouter router(*rig.prototype, sc::jetson_nano(),
+                            sc::rtx3090_server(), cfg);
+
+  auto f_late = router.submit(
+      rig.input(11),
+      {.base = {.client_id = 5,
+                .deadline = std::chrono::steady_clock::now() - 1ms}});
+  ASSERT_EQ(f_late.wait_for(0s), std::future_status::ready);
+  try {
+    (void)f_late.get();
+    FAIL() << "a pre-expired request settled with a value";
+  } catch (const serve::DeadlineExceededError& e) {
+    EXPECT_EQ(e.phase(), serve::ExpiryPhase::kAdmission);
+  }
+
+  // The deadline gate spends no quota: the tenant's first request still
+  // has its one token, its second finds the bucket empty.
+  const Tensor x = rig.input(12);
+  auto f_first = router.submit(x.clone(), {.base = {.client_id = 5}});
+  auto f_second = router.submit(rig.input(13), {.base = {.client_id = 5}});
+  ASSERT_EQ(f_second.wait_for(0s), std::future_status::ready);
+  EXPECT_THROW((void)f_second.get(), serve::ThrottledError);
+  ASSERT_EQ(f_first.wait_for(30s), std::future_status::ready);
+  expect_bitwise(rig, x, f_first.get());
+
+  router.shutdown();
+  const fleet::FleetStats s = router.stats();
+  EXPECT_EQ(s.submitted, 3);
+  EXPECT_EQ(s.settled_value, 1);
+  EXPECT_EQ(s.settled_error, 2);
+}
+
+TEST(FleetE2E, BlockAdmissionBurstSettlesEveryFuture) {
+  // A full Block node holds submitters inside its submit until a worker
+  // pops, and that worker's reply takes the node's mutex: the router must
+  // not hold it across the node's submit. If the burst stalls, shutdown
+  // closes the node's queue, which frees any submitter waiting there.
+  FleetRig rig;
+  fleet::FleetConfig cfg = rig.fleet_cfg(1);
+  cfg.serve.admission.policy = serve::AdmissionPolicy::kBlock;
+  cfg.serve.admission.capacity = 1;
+  fleet::FleetRouter router(*rig.prototype, sc::jetson_nano(),
+                            sc::rtx3090_server(), cfg);
+  constexpr size_t kThreads = 4, kPerThread = 8;
+  std::vector<Tensor> inputs;
+  for (size_t i = 0; i < kThreads * kPerThread; ++i)
+    inputs.push_back(rig.input(500 + i));
+  std::vector<std::future<sc::InferenceResult>> futs(inputs.size());
+  std::atomic<size_t> finished{0};
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < kThreads; ++t)
+    clients.emplace_back([&, t] {
+      try {
+        for (size_t i = t * kPerThread; i < (t + 1) * kPerThread; ++i)
+          futs[i] = router.submit(inputs[i].clone(), {.base = {.client_id = i}});
+      } catch (...) {
+        // submit after the watchdog's shutdown; the futures left invalid
+        // fail the checks below.
+      }
+      finished.fetch_add(1);
+    });
+  const auto give_up = std::chrono::steady_clock::now() + 30s;
+  while (finished.load() < kThreads &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(1ms);
+  if (finished.load() < kThreads) {
+    ADD_FAILURE() << "submitters still blocked after 30 s";
+    router.shutdown();
+  }
+  for (auto& c : clients) c.join();
+  for (size_t i = 0; i < futs.size(); ++i) {
+    ASSERT_TRUE(futs[i].valid()) << "request " << i << " never submitted";
+    ASSERT_EQ(futs[i].wait_until(give_up), std::future_status::ready)
+        << "request " << i;
+    expect_bitwise(rig, inputs[i], futs[i].get());
+  }
+  router.shutdown();
+  EXPECT_EQ(router.stats().settled_value, 32);
+}
+
 TEST(FleetChaos, KillNodeEveryFutureSettlesOnceAndReplicasRebuild) {
   FleetRig rig;
   fleet::FleetRouter router(*rig.prototype, sc::jetson_nano(),

@@ -32,6 +32,20 @@ sc::InferenceResult dummy_result() {
   return r;
 }
 
+/// Gives hand-built request @p r a reply that fills the returned future,
+/// as RequestQueue::submit does.
+std::future<sc::InferenceResult> reply_future(serve::Request& r) {
+  auto p = std::make_shared<std::promise<sc::InferenceResult>>();
+  r.reply = [p](std::exception_ptr err, sc::InferenceResult value) {
+    if (err) {
+      p->set_exception(err);
+    } else {
+      p->set_value(std::move(value));
+    }
+  };
+  return p->get_future();
+}
+
 /// Classifies a settled future: 0 = value, 1 = RejectedError (rejected),
 /// 2 = RejectedError (shed), 3 = ThrottledError, 4/5/6 =
 /// DeadlineExceededError at admission/queue/dispatch, 7 = other error.
@@ -80,7 +94,7 @@ TEST(Deadline, QueuedRequestExpiresOnPop) {
   serve::Request r;
   ASSERT_TRUE(q.pop(r));
   EXPECT_EQ(settle_kind(f_dead), 5);  // kQueue: purged before service
-  r.promise.set_value(dummy_result());
+  serve::settle_value(r, dummy_result());
   EXPECT_EQ(settle_kind(f_live), 0);
   EXPECT_EQ(q.expired(), 1u);
   EXPECT_EQ(q.size(), 0u);
@@ -110,7 +124,7 @@ TEST(Deadline, BlockedSubmitterExpiresInsteadOfWaitingForever) {
   EXPECT_EQ(q.expired(), 1u);
   q.close();
   serve::Request r;
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) serve::settle_value(r, dummy_result());
   EXPECT_EQ(settle_kind(f_fill), 0);
 }
 
@@ -135,7 +149,7 @@ TEST(Deadline, ExpireOverdueFiltersOnlyDeadRequestsPreservingOrder) {
     batch[i].deadline = i == 1
                             ? now - 1ms
                             : std::chrono::steady_clock::time_point::max();
-    futs.push_back(batch[i].promise.get_future());
+    futs.push_back(reply_future(batch[i]));
   }
   EXPECT_EQ(serve::expire_overdue(batch, now), 1u);
   ASSERT_EQ(batch.size(), 2u);
@@ -143,7 +157,7 @@ TEST(Deadline, ExpireOverdueFiltersOnlyDeadRequestsPreservingOrder) {
   EXPECT_EQ(batch[1].id, 2u);  // survivor order preserved
   EXPECT_EQ(settle_kind(futs[1]), 6);  // kDispatch
   for (size_t i : {0u, 2u}) {
-    batch[i == 0 ? 0 : 1].promise.set_value(dummy_result());
+    serve::settle_value(batch[i == 0 ? 0 : 1], dummy_result());
     EXPECT_EQ(settle_kind(futs[i]), 0);
   }
 }
@@ -163,7 +177,7 @@ TEST(Quota, BurstBoundsBackToBackSubmissions) {
   EXPECT_EQ(q.size(), 3u);
   q.close();
   serve::Request r;
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) serve::settle_value(r, dummy_result());
   EXPECT_EQ(settle_kind(f1), 0);
   EXPECT_EQ(settle_kind(f2), 0);
   EXPECT_EQ(settle_kind(f_other), 0);
@@ -185,7 +199,7 @@ TEST(Quota, CostIsRowsAndRetryAfterIsEstimated) {
   }
   q.close();
   serve::Request r;
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) serve::settle_value(r, dummy_result());
   EXPECT_EQ(settle_kind(f1), 0);
 }
 
@@ -201,7 +215,7 @@ TEST(Quota, BucketRefillsAtTheConfiguredRate) {
   EXPECT_EQ(q.throttled(), 1u);
   q.close();
   serve::Request r;
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) serve::settle_value(r, dummy_result());
   EXPECT_EQ(settle_kind(f1), 0);
   EXPECT_EQ(settle_kind(f3), 0);
 }
@@ -222,7 +236,7 @@ TEST(Quota, OversizedRequestIsPermanentlyThrottledNotRetryBaited) {
   auto f2 = q.submit(tiny_input(2), {.client_id = 1});
   q.close();
   serve::Request r;
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) serve::settle_value(r, dummy_result());
   EXPECT_EQ(settle_kind(f2), 0);
 }
 
@@ -237,12 +251,12 @@ TEST(Quota, CapacityRejectionRefundsTheTenantsTokens) {
   EXPECT_EQ(settle_kind(f2), 1);
   serve::Request r;
   ASSERT_TRUE(q.pop(r));
-  r.promise.set_value(dummy_result());
+  serve::settle_value(r, dummy_result());
   // Without the refund the bucket would be empty now (two tokens charged
   // for one admitted request); the tenant must still hold one.
   auto f3 = q.submit(tiny_input(), {.client_id = 1});
   q.close();
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) serve::settle_value(r, dummy_result());
   EXPECT_EQ(settle_kind(f1), 0);
   EXPECT_EQ(settle_kind(f3), 0);
   EXPECT_EQ(q.throttled(), 0u);
@@ -259,7 +273,7 @@ TEST(Quota, ThrottledFlooderNeverStarvesCompliantTenants) {
     serve::RequestQueue q(cfg);
     std::thread consumer([&q] {
       serve::Request r;
-      while (q.pop(r)) r.promise.set_value(dummy_result());
+      while (q.pop(r)) serve::settle_value(r, dummy_result());
     });
 
     constexpr size_t kFlood = 100, kCompliantEach = 25;
@@ -602,7 +616,7 @@ TEST(SloControl, SetCapacityShrinkRacingBlockedSubmittersStaysLive) {
     serve::Request r;
     while (q.pop(r)) {
       std::this_thread::sleep_for(300us);
-      r.promise.set_value(dummy_result());
+      serve::settle_value(r, dummy_result());
     }
   });
 
@@ -696,7 +710,7 @@ TEST(SloControl, SetCapacityIsALiveActuator) {
   auto f4 = q.submit(tiny_input());
   q.close();
   serve::Request r;
-  while (q.pop(r)) r.promise.set_value(dummy_result());
+  while (q.pop(r)) serve::settle_value(r, dummy_result());
   EXPECT_EQ(settle_kind(f1), 0);
   EXPECT_EQ(settle_kind(f2), 0);
   EXPECT_EQ(settle_kind(f4), 0);
