@@ -4,8 +4,9 @@
 // Every run also writes BENCH_OPS.json (google-benchmark's JSON schema, one
 // entry per benchmark with `size` / `threads` / `GFLOPs` user counters) so
 // the perf trajectory can be tracked across PRs as BENCH_*.json artifacts.
-// Thread count follows MTLSPLIT_NUM_THREADS, except BM_MatMulThreads which
-// pins the pool per measurement to expose the scaling curve.
+// Thread count follows MTLSPLIT_NUM_THREADS, except BM_MatMulThreads and
+// BM_BackboneForwardThreads, which pin the pool per measurement to expose
+// the scaling curve.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -244,6 +245,57 @@ BENCHMARK(BM_BackboneForward)
     ->Args({0, 0})->Args({0, 1})->Args({0, 2})   // VGG16
     ->Args({1, 0})->Args({1, 1})->Args({1, 2})   // MobileNetV3
     ->Args({2, 0})->Args({2, 1})->Args({2, 2});  // EfficientNet
+
+// Compiled exact-mode batch-8 forward with the pool pinned to 1 and to 4
+// lanes (args: backbone kind / lanes), measured wall-clock. CI gates on
+// the 4-lane time staying within 3% of the 1-lane time on every edge
+// backbone: GraphExecutor forks once per run, one sample range per lane.
+void BM_BackboneForwardThreads(benchmark::State& state) {
+  const auto kind = static_cast<models::BackboneKind>(state.range(0));
+  runtime::set_num_threads(static_cast<int>(state.range(1)));
+  Rng rng(33);
+  auto bb = models::build_backbone(
+      {kind, models::BackboneScale::kEdge, 3}, rng);
+  bb->set_training(false);
+  Tensor x({8, 3, 16, 16});
+  rng.fill_uniform(x, 0.0f, 1.0f);
+  graph::GraphExecutor exec(graph::compile(*bb, {1, 3, 16, 16}));
+  for (auto _ : state) benchmark::DoNotOptimize(exec.run(x));
+  state.SetLabel(models::backbone_name(kind) + std::string("/exact"));
+  set_op_counters(state, 8, 8 * bb->flops({1, 3, 16, 16}));
+  // Restore the default pool so later benchmarks don't run pinned.
+  runtime::set_num_threads(runtime::default_num_threads());
+}
+BENCHMARK(BM_BackboneForwardThreads)
+    ->ArgNames({"bb", "lanes"})
+    ->ArgsProduct({{0, 1, 2}, {1, 4}})
+    ->UseRealTime();
+
+// perfbench lossy_wire's edge stage: two ScServer replicas, each with its
+// own executor over one shared VGG16 plan, run batches of two 32x32 images
+// at the same time on the default pool. google-benchmark divides the wall
+// time by both threads' iterations, so a row reads half the time one
+// executor waits for its batch.
+void BM_SharedPlanForward(benchmark::State& state) {
+  static const std::shared_ptr<const graph::CompiledPlan> plan = [] {
+    Rng rng(33);
+    auto bb = models::build_backbone(
+        {models::BackboneKind::kVgg16, models::BackboneScale::kEdge, 3}, rng);
+    bb->set_training(false);
+    return graph::compile(*bb, {1, 3, 32, 32});
+  }();
+  graph::GraphExecutor exec(plan);
+  Rng rng(34 + static_cast<uint64_t>(state.thread_index()));
+  Tensor x({2, 3, 32, 32});
+  rng.fill_uniform(x, 0.0f, 1.0f);
+  for (auto _ : state) benchmark::DoNotOptimize(exec.run(x));
+  state.SetLabel("VGG16/exact/32x32/batch2");
+  // Per-thread values, averaged so the row does not sum the two threads.
+  constexpr auto kAvg = benchmark::Counter::kAvgThreads;
+  state.counters["size"] = benchmark::Counter(2, kAvg);
+  state.counters["threads"] = benchmark::Counter(runtime::num_threads(), kAvg);
+}
+BENCHMARK(BM_SharedPlanForward)->Threads(2)->UseRealTime();
 
 }  // namespace
 

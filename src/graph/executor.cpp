@@ -26,6 +26,14 @@ ConvGeom conv_geom(const Node& n) {
           .pad = n.pad};
 }
 
+/// Where value @p value_id starts in an arena slice holding @p n samples.
+float* value_ptr(const Graph& g, float* slice, int value_id, int64_t n) {
+  const Value& v = g.values[static_cast<size_t>(value_id)];
+  check_arg(v.offset >= 0, "GraphExecutor: value ", v.name,
+            " was never planned");
+  return slice + v.offset * n;
+}
+
 }  // namespace
 
 std::shared_ptr<const CompiledPlan> compile(nn::Sequential& seq,
@@ -49,13 +57,6 @@ GraphExecutor::GraphExecutor(std::shared_ptr<const CompiledPlan> plan)
   check_arg(plan_ != nullptr, "GraphExecutor: null plan");
 }
 
-float* GraphExecutor::value_ptr(int value_id, int64_t batch) {
-  const Value& v = plan_->graph().values[static_cast<size_t>(value_id)];
-  check_arg(v.offset >= 0, "GraphExecutor: value ", v.name,
-            " was never planned");
-  return arena_.data() + v.offset * batch;
-}
-
 Tensor GraphExecutor::run(const Tensor& x) {
   const Graph& g = plan_->graph();
   check_arg(x.dim() == static_cast<int64_t>(g.input_shape.size()),
@@ -71,11 +72,37 @@ Tensor GraphExecutor::run(const Tensor& x) {
   const auto need = static_cast<size_t>(g.arena_per_sample * nb);
   if (arena_.size() < need) arena_.resize(need);
 
-  std::memcpy(value_ptr(g.input, nb), x.data(),
-              static_cast<size_t>(x.numel()) * sizeof(float));
+  // One contiguous sample range per lane, one fork for the whole plan. A
+  // caller that already is a pool lane gets one range (its kernels would
+  // run inline anyway), and so do batch 1 and a one-lane pool: there the
+  // range's kernels still parallelize on the pool.
+  const int64_t lanes =
+      runtime::ThreadPool::in_worker() ? 1 : runtime::num_threads();
+  const int64_t grain = (nb + lanes - 1) / lanes;
+  const auto ranges = static_cast<size_t>((nb + grain - 1) / grain);
+  if (taps_.size() < ranges) taps_.resize(ranges);
+
+  const int64_t out_elems = g.values[static_cast<size_t>(g.output)].elems;
+  std::vector<float> out(static_cast<size_t>(out_elems * nb));
+  runtime::parallel_for(0, nb, grain, [&](int64_t lo, int64_t hi) {
+    run_range(x.data(), lo, hi - lo, taps_[static_cast<size_t>(lo / grain)],
+              out.data());
+  });
+  return Tensor(plan_->output_shape(nb), std::move(out));
+}
+
+void GraphExecutor::run_range(const float* x, int64_t lo, int64_t n,
+                              std::vector<int32_t>& taps, float* y) {
+  const Graph& g = plan_->graph();
+  // The range's slice starts where its first sample's would; inside it,
+  // every value sits at offset * n. Slices of disjoint ranges are disjoint.
+  float* slice = arena_.data() + lo * g.arena_per_sample;
+  const int64_t in_elems = g.values[static_cast<size_t>(g.input)].elems;
+  std::memcpy(value_ptr(g, slice, g.input, n), x + lo * in_elems,
+              static_cast<size_t>(in_elems * n) * sizeof(float));
 
   for (size_t i = 0; i < g.nodes.size(); ++i) {
-    exec_node(g.nodes[i], nb);
+    exec_node(g.nodes[i], slice, n, taps);
     if (poison_dead_) {
       // A value whose last reader was node i is dead from here on: flood
       // its slot so any later read (an aliasing bug in the planner or a
@@ -84,23 +111,23 @@ Tensor GraphExecutor::run(const Tensor& x) {
       for (size_t v = 0; v < g.values.size(); ++v) {
         const Value& val = g.values[v];
         if (val.offset < 0 || val.last_use != static_cast<int>(i)) continue;
-        float* p = arena_.data() + val.offset * nb;
-        std::fill(p, p + val.elems * nb,
+        float* p = slice + val.offset * n;
+        std::fill(p, p + val.elems * n,
                   std::numeric_limits<float>::quiet_NaN());
       }
     }
   }
 
-  const Value& out_v = g.values[static_cast<size_t>(g.output)];
-  const float* po = value_ptr(g.output, nb);
-  std::vector<float> buf(po, po + out_v.elems * nb);
-  return Tensor(plan_->output_shape(nb), std::move(buf));
+  const int64_t out_elems = g.values[static_cast<size_t>(g.output)].elems;
+  std::memcpy(y + lo * out_elems, value_ptr(g, slice, g.output, n),
+              static_cast<size_t>(out_elems * n) * sizeof(float));
 }
 
-void GraphExecutor::exec_node(const Node& node, int64_t nb) {
+void GraphExecutor::exec_node(const Node& node, float* slice, int64_t nb,
+                              std::vector<int32_t>& taps) const {
   const Graph& g = plan_->graph();
-  const float* px = value_ptr(node.inputs[0], nb);
-  float* po = value_ptr(node.output, nb);
+  const float* px = value_ptr(g, slice, node.inputs[0], nb);
+  float* po = value_ptr(g, slice, node.output, nb);
   const auto cst = [&](int id) {
     return id >= 0 ? g.consts[static_cast<size_t>(id)].data() : nullptr;
   };
@@ -114,7 +141,7 @@ void GraphExecutor::exec_node(const Node& node, int64_t nb) {
       break;
     case OpKind::kDepthwiseConv2d:
       nn::depthwise_conv2d_forward(px, nb, conv_geom(node), cst(node.weight),
-                                   cst(node.bias), node.act, taps_, po);
+                                   cst(node.bias), node.act, taps, po);
       break;
     case OpKind::kBatchNorm2d:
       nn::batchnorm_eval_forward(px, nb, node.in_c, node.in_h * node.in_w,
@@ -142,11 +169,11 @@ void GraphExecutor::exec_node(const Node& node, int64_t nb) {
       break;
     case OpKind::kChannelScale:
       nn::channel_scale_forward(px, planes, node.in_h * node.in_w,
-                                value_ptr(node.inputs[1], nb), po);
+                                value_ptr(g, slice, node.inputs[1], nb), po);
       break;
     case OpKind::kAdd: {
       // The residual add has no layer of its own (MBConv adds in place).
-      const float* pr = value_ptr(node.inputs[1], nb);
+      const float* pr = value_ptr(g, slice, node.inputs[1], nb);
       runtime::parallel_for(0, total, /*grain=*/1 << 15,
                             [&](int64_t lo, int64_t hi) {
                               for (int64_t i = lo; i < hi; ++i)

@@ -3,9 +3,10 @@
 // compile() lowers a Sequential, runs the pass pipeline and freezes the
 // result into an immutable CompiledPlan. A GraphExecutor then runs the
 // plan over batches: every intermediate lives in ONE arena at the offset
-// the workspace planner assigned (scaled by the batch size), so a forward
-// pass performs no tensor allocation, no zero-fill and no backward-cache
-// copies — the three hidden costs of the eager Module::forward path.
+// the workspace planner assigned (scaled by the samples that share its
+// slice), so a forward pass performs no tensor allocation, no zero-fill
+// and no backward-cache copies — the three hidden costs of the eager
+// Module::forward path.
 //
 // Sharing model:
 //  * CompiledPlan is immutable after construction (it owns snapshot copies
@@ -14,10 +15,16 @@
 //    replica reuse the plan replica 0 compiled.
 //  * GraphExecutor owns the mutable arena and is single-threaded: one
 //    executor per concurrent caller (the deployment keeps one per pipeline
-//    stage). Each node runs the same forward kernel as its eager layer
-//    (nn::conv2d_forward, nn::linear_forward, ...), parallelized on the
-//    runtime pool, so compiled results are bitwise identical to eager for
-//    any MTLSPLIT_NUM_THREADS (exact mode).
+//    stage). run() forks once per batch: it splits the batch into one
+//    contiguous sample range per pool lane, and each range runs every node
+//    over its own samples, in its own slice of the arena, with its own
+//    depthwise scratch and its kernels inline. At batch 1 or on a
+//    one-lane pool there is one range and its kernels parallelize on the
+//    pool; a caller that already is a pool lane gets one range too. Each
+//    node runs the same forward kernel as its eager layer
+//    (nn::conv2d_forward, nn::linear_forward, ...) and no kernel reduces
+//    across samples, so compiled results are bitwise identical to eager
+//    for any MTLSPLIT_NUM_THREADS and any range split (exact mode).
 //  * PlanCache is a thread-safe keyed store so replicas compile once.
 #pragma once
 
@@ -74,7 +81,8 @@ class GraphExecutor {
   explicit GraphExecutor(std::shared_ptr<const CompiledPlan> plan);
 
   /// Runs the plan on a [N, ...] batch; per-sample trailing dims must match
-  /// the compiled input shape. Grows (never shrinks) the arena.
+  /// the compiled input shape. Grows (never shrinks) the arena. Not
+  /// reentrant: the sample ranges of one call share this executor.
   Tensor run(const Tensor& x);
 
   /// Debug mode for the aliasing tests: NaN-fills every arena slot the
@@ -86,12 +94,16 @@ class GraphExecutor {
   const CompiledPlan& plan() const { return *plan_; }
 
  private:
-  float* value_ptr(int value_id, int64_t batch);
-  void exec_node(const Node& node, int64_t batch);
+  /// Runs every node over samples [lo, lo + n) of @p x into the same rows
+  /// of @p y, in the arena slice that starts at lo * arena_per_sample.
+  void run_range(const float* x, int64_t lo, int64_t n,
+                 std::vector<int32_t>& taps, float* y);
+  void exec_node(const Node& node, float* slice, int64_t nb,
+                 std::vector<int32_t>& taps) const;
 
   std::shared_ptr<const CompiledPlan> plan_;
-  std::vector<float> arena_;   ///< every planned value
-  std::vector<int32_t> taps_;  ///< depthwise tap-table scratch
+  std::vector<float> arena_;  ///< every planned value, one slice per range
+  std::vector<std::vector<int32_t>> taps_;  ///< depthwise taps, per range
   bool poison_dead_ = false;
 };
 

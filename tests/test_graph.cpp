@@ -5,6 +5,7 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <thread>
 
 #include "graph/executor.hpp"
@@ -15,6 +16,7 @@
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/misc_layers.hpp"
+#include "runtime/thread_pool.hpp"
 #include "serve/server.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -238,6 +240,48 @@ TEST(GraphWorkspace, PoisonedDeadSlotsDoNotChangeOutputs) {
   }
 }
 
+TEST(GraphExecutor, SampleRangesAreBitwiseAtEveryLaneCount) {
+  // run() gives each pool lane one contiguous sample range, so the range
+  // boundaries follow the lane count: batch 5 on 4 lanes runs ranges of 2,
+  // 2 and 1. No kernel reduces across samples, so every output row must
+  // equal a batch-1 run of its sample bit for bit whatever the split.
+  struct RestoreLanes {
+    ~RestoreLanes() {
+      runtime::set_num_threads(runtime::default_num_threads());
+    }
+  } restore;
+  for (models::BackboneKind kind : models::kAllBackbones) {
+    Rng rng(85);
+    auto bb = edge_backbone(kind, rng);
+    bb->set_training(false);
+    auto plan = graph::compile(*bb, {1, 3, 16, 16});
+    const Tensor x = random_image(185, 8);
+    std::vector<Tensor> want;
+    graph::GraphExecutor single(plan);
+    for (int64_t i = 0; i < 8; ++i)
+      want.push_back(single.run(ops::slice_batch(x, i, i + 1)));
+    const size_t row_bytes =
+        static_cast<size_t>(want[0].numel()) * sizeof(float);
+    for (int lanes : {1, 2, 4}) {
+      runtime::set_num_threads(lanes);
+      graph::GraphExecutor exec(plan);
+      exec.set_poison_dead(true);
+      for (int64_t nb : {1, 2, 3, 5, 8}) {
+        const Tensor y = exec.run(ops::slice_batch(x, 0, nb));
+        ASSERT_EQ(y.shape(), plan->output_shape(nb));
+        for (int64_t i = 0; i < nb; ++i)
+          EXPECT_EQ(std::memcmp(y.data() + i * want[0].numel(),
+                                want[static_cast<size_t>(i)].data(),
+                                row_bytes),
+                    0)
+              << models::backbone_name(kind) << " on " << lanes
+              << " lanes, batch " << nb << ": row " << i
+              << " differs from its batch-1 run";
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------ plan sharing
 
 TEST(GraphPlanCache, CompilesOncePerKey) {
@@ -256,10 +300,11 @@ TEST(GraphExecutor, SharedPlanRunsRaceFreeAcrossThreads) {
   auto bb = edge_backbone(models::BackboneKind::kMobileNetV3, rng);
   bb->set_training(false);
   auto plan = graph::compile(*bb, {1, 3, 16, 16});
-  const Tensor x = random_image(195);
+  const Tensor x = random_image(195, 3);
   const Tensor want = eager_forward(*bb, x);
   // One executor per thread over ONE immutable plan — the sharing model
-  // every ScServer worker relies on (this test runs under TSan in CI).
+  // every ScServer worker relies on (this test runs under TSan in CI). At
+  // batch 3 each run also splits into sample ranges on the shared pool.
   std::vector<std::thread> threads;
   // Not vector<bool>: bit-packing would make the per-thread writes race.
   std::array<std::atomic<bool>, 4> ok{};
