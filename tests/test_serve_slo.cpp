@@ -407,16 +407,28 @@ TEST(Autoscale, GrowsUnderBurstNeverPastMaxAndShrinksWhenIdle) {
                          sc::rtx3090_server(), cfg);
   EXPECT_EQ(server.num_workers(), 1u);
 
-  // Burst: enough open-loop work to hold the backlog over the scale-up
-  // threshold for several controller ticks.
+  // Burst: open-loop work that holds the backlog over the scale-up
+  // threshold for several controller ticks. Each sample tops it back up
+  // to kBurst outstanding requests: a one-shot burst of 64 drains in
+  // about two 5 ms ticks on a 4-core host, so whether the two-tick
+  // hysteresis window sees it would race the replica's compute speed.
+  constexpr int64_t kBurst = 64;
+  constexpr size_t kMaxRequests = 4096;
   std::vector<std::future<sc::InferenceResult>> futs;
   std::vector<Tensor> inputs;
-  for (uint64_t i = 0; i < 64; ++i) {
-    inputs.push_back(rig.input(500 + i));
-    futs.push_back(server.submit(inputs.back().clone(), {.client_id = i}));
-  }
   size_t max_seen = 1;
-  for (int t = 0; t < 400; ++t) {  // sample while the burst drains
+  const auto give_up = std::chrono::steady_clock::now() + 5s;
+  for (int t = 0; std::chrono::steady_clock::now() < give_up; ++t) {
+    const serve::ServeStats seen = server.stats();
+    const int64_t outstanding =
+        static_cast<int64_t>(futs.size()) - seen.completed - seen.failed;
+    for (int64_t k = outstanding; k < kBurst && futs.size() < kMaxRequests;
+         ++k) {
+      const uint64_t i = inputs.size();
+      inputs.push_back(rig.input(500 + i));
+      futs.push_back(
+          server.submit(inputs.back().clone(), {.client_id = i % kBurst}));
+    }
     max_seen = std::max(max_seen, server.num_workers());
     ASSERT_LE(server.num_workers(), 3u) << "autoscaler exceeded max_replicas";
     std::this_thread::sleep_for(1ms);
@@ -450,7 +462,7 @@ TEST(Autoscale, GrowsUnderBurstNeverPastMaxAndShrinksWhenIdle) {
   const serve::ServeStats s = server.stats();
   EXPECT_GE(s.scale_ups, 1);
   EXPECT_GE(s.scale_downs, 1);
-  EXPECT_EQ(s.completed, 64);
+  EXPECT_EQ(s.completed, static_cast<int64_t>(futs.size()));
   EXPECT_EQ(s.failed, 0);
 }
 
