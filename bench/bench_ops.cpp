@@ -6,9 +6,11 @@
 // the perf trajectory can be tracked across PRs as BENCH_*.json artifacts.
 // Thread count follows MTLSPLIT_NUM_THREADS, except BM_MatMulThreads and
 // BM_BackboneForwardThreads, which pin the pool per measurement to expose
-// the scaling curve.
+// the scaling curve, and BM_ConvVsGemm, which runs on one lane.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "nn/linear.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sc/quantize.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/serialize.hpp"
@@ -175,19 +178,85 @@ void BM_BatchNormForward(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchNormForward);
 
+// One sample's 3x3 stride-1 pad-1 patch matrix: c channels of hw x hw,
+// the widest VGG16 conv input on each plane size of a 32x32 frame (the
+// only im2col geometry served plans run).
 void BM_Im2col(benchmark::State& state) {
+  const auto c = state.range(0), hw = state.range(1);
   Rng rng(7);
-  Tensor img({16, 32, 32});
+  Tensor img({c, hw, hw});
   rng.fill_uniform(img, -1.0f, 1.0f);
-  const ConvGeom g{.in_c = 16, .in_h = 32, .in_w = 32, .kernel_h = 3,
+  const ConvGeom g{.in_c = c, .in_h = hw, .in_w = hw, .kernel_h = 3,
                    .kernel_w = 3, .stride = 1, .pad = 1};
   Tensor cols;
   for (auto _ : state) {
     im2col(img.data(), g, cols);
     benchmark::DoNotOptimize(cols.data());
   }
+  state.SetItemsProcessed(state.iterations() * cols.numel());
+  set_op_counters(state, c, 0);
 }
-BENCHMARK(BM_Im2col);
+BENCHMARK(BM_Im2col)
+    ->ArgNames({"c", "hw"})
+    ->Args({16, 32})
+    ->Args({32, 16})
+    ->Args({64, 8})
+    ->Args({64, 4});
+
+// A conv layer against the bare GEMM it lowers to, batch 1 on one lane
+// (arg: layer). Each iteration times conv2d_forward, with no bias and no
+// epilogue, then the gemm of the same (out_c, OH*OW, fan_in) shape on the
+// layer's patch matrix, which for a 1x1 conv is its input. The row reports
+// each call's fastest time and their ratio, so a slow spell on a shared
+// host moves neither side alone. Layer 0 is VGG16's 16->16 3x3 conv on a
+// 32x32 plane, layer 1 an MBConv 12->48 1x1 expand on 16x16. CI fails when
+// a conv's ratio exceeds its bound: what a conv adds to its GEMM is the
+// patch copy.
+void BM_ConvVsGemm(benchmark::State& state) {
+  struct Layer {
+    int64_t in_c, out_c, k, pad, hw;
+    const char* name;
+  };
+  static constexpr Layer kLayers[] = {
+      {16, 16, 3, 1, 32, "VGG16 3x3 16->16 32x32"},
+      {12, 48, 1, 0, 16, "MBConv 1x1 12->48 16x16"}};
+  const Layer& l = kLayers[state.range(0)];
+  runtime::set_num_threads(1);
+  const ConvGeom g{.in_c = l.in_c, .in_h = l.hw, .in_w = l.hw,
+                   .kernel_h = l.k, .kernel_w = l.k, .stride = 1,
+                   .pad = l.pad};
+  const int64_t fan_in = l.in_c * l.k * l.k, ohw = g.out_h() * g.out_w();
+  Rng rng(12);
+  Tensor w({l.out_c, fan_in}), x({l.in_c, l.hw, l.hw}), y({l.out_c, ohw});
+  rng.fill_uniform(w, -1.0f, 1.0f);
+  rng.fill_uniform(x, -1.0f, 1.0f);
+  Tensor cols;
+  im2col(x.data(), g, cols);
+  const float* patches = l.k == 1 ? x.data() : cols.data();
+  using clock = std::chrono::steady_clock;
+  double conv_s = 1e9, gemm_s = 1e9;
+  for (auto _ : state) {
+    const auto t0 = clock::now();
+    nn::conv2d_forward(x.data(), 1, g, l.out_c, w.data(), nullptr,
+                       nn::ActFn::kNone, y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+    const auto t1 = clock::now();
+    ops::detail::gemm(l.out_c, ohw, fan_in, w.data(), patches, y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+    const auto t2 = clock::now();
+    conv_s = std::min(conv_s, std::chrono::duration<double>(t1 - t0).count());
+    gemm_s = std::min(gemm_s, std::chrono::duration<double>(t2 - t1).count());
+  }
+  state.SetLabel(l.name);
+  state.counters["conv_us"] = conv_s * 1e6;
+  state.counters["gemm_us"] = gemm_s * 1e6;
+  state.counters["ratio"] = conv_s / gemm_s;
+  // Restore the default pool so later benchmarks don't run pinned.
+  runtime::set_num_threads(runtime::default_num_threads());
+}
+BENCHMARK(BM_ConvVsGemm)->ArgName("layer")->Arg(0)->Arg(1)->UseRealTime();
 
 void BM_SerializeZb(benchmark::State& state) {
   // A realistic Z_b: MobileNetV3-Small's 28k floats.

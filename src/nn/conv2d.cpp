@@ -113,17 +113,21 @@ void conv2d_forward(const float* x, int64_t n, const ConvGeom& g,
   const int64_t ohw = g.out_h() * g.out_w();
   const int64_t fan_in = g.in_c * g.kernel_h * g.kernel_w;
   const int64_t in_stride = g.in_c * g.in_h * g.in_w;
+  const bool pointwise = g.pointwise();
   // Batch-level parallelism; each lane keeps one persistent im2col patch
   // matrix in its thread-local workspace instead of a fresh Tensor per
-  // sample. For n == 1 (edge inference) the loop runs inline and the GEMM
-  // parallelizes over its row blocks instead.
+  // sample. A pointwise conv's input already is its patch matrix, so the
+  // GEMM reads each sample in place. For n == 1 (edge inference) the loop
+  // runs inline and the GEMM parallelizes over its row blocks instead.
   runtime::parallel_for(0, n, 1, [&](int64_t lo, int64_t hi) {
-    float* cols = runtime::tls_workspace().floats(
-        runtime::Workspace::kIm2col, fan_in * ohw);
+    float* cols = pointwise ? nullptr
+                            : runtime::tls_workspace().floats(
+                                  runtime::Workspace::kIm2col, fan_in * ohw);
     for (int64_t i = lo; i < hi; ++i) {
-      im2col(x + i * in_stride, g, cols);
+      const float* xi = x + i * in_stride;
+      if (!pointwise) im2col(xi, g, cols);
       float* yi = y + i * out_c * ohw;
-      ops::detail::gemm(out_c, ohw, fan_in, w, cols, yi);
+      ops::detail::gemm(out_c, ohw, fan_in, w, pointwise ? xi : cols, yi);
       for (int64_t c = 0; c < out_c; ++c) {
         float* plane = yi + c * ohw;
         if (b != nullptr) {
@@ -250,6 +254,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const int64_t wsize = out_c_ * fan_in;
   const float* px = x.data();
   const float* pg = grad_out.data();
+  const bool pointwise = g.pointwise();
 
   // W^T once, shared read-only by every lane (dcols = W^T . g per sample).
   if (static_cast<int64_t>(wt_scratch_.size()) < wsize)
@@ -274,17 +279,20 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     const int64_t w1 = std::min(w0 + wave, n);
     runtime::parallel_for(w0, w1, 1, [&](int64_t lo, int64_t hi) {
       auto& ws = runtime::tls_workspace();
-      float* cols =
-          ws.floats(runtime::Workspace::kIm2col, fan_in * ohw);
+      float* cols = pointwise
+                        ? nullptr
+                        : ws.floats(runtime::Workspace::kIm2col, fan_in * ohw);
       float* dcols =
           ws.floats(runtime::Workspace::kConvScratch, fan_in * ohw);
       for (int64_t i = lo; i < hi; ++i) {
         // Recompute the patch matrix (memory/compute trade-off, as in the
-        // seed); gmat is the contiguous [out_c, oh*ow] slice of grad_out.
-        im2col(px + i * in_stride, g, cols);
+        // seed), or read a pointwise conv's input in place; gmat is the
+        // contiguous [out_c, oh*ow] slice of grad_out.
+        const float* xi = px + i * in_stride;
+        if (!pointwise) im2col(xi, g, cols);
         const float* gmat = pg + i * out_stride;
-        ops::detail::gemm_nt(out_c_, ohw, fan_in, gmat, cols,
-                             dws + (i - w0) * wsize);
+        ops::detail::gemm_nt(out_c_, ohw, fan_in, gmat,
+                             pointwise ? xi : cols, dws + (i - w0) * wsize);
         ops::detail::gemm(fan_in, ohw, out_c_, wt, gmat, dcols);
         col2im(dcols, g, grad_in.data() + i * in_stride);
         if (with_bias_) {

@@ -3,7 +3,9 @@
 //
 // Conv2d is lowered to GEMM via im2col (tensor/im2col.hpp); the backward
 // pass recomputes the patch matrix from the cached input instead of caching
-// it, trading a little compute for a large activation-memory saving.
+// it, trading a little compute for a large activation-memory saving. A
+// pointwise conv (1x1, stride 1, no padding) skips im2col in both passes:
+// its input already is its patch matrix.
 // DepthwiseConv2d (one filter per channel, the MobileNet/EfficientNet
 // workhorse) skips im2col — its arithmetic intensity is too low for it to
 // pay off — and replays a table of in-bounds taps per output position,

@@ -30,6 +30,7 @@ class Workspace {
     kConvScratch,     ///< conv backward column gradients
     kReduce,          ///< per-chunk partial reductions
     kDepthwise,       ///< depthwise channel block, lane-interleaved
+    kIm2colPlane,     ///< im2col's zero-bordered input plane
     kSlotCount
   };
 

@@ -39,9 +39,9 @@ void gemm_block_scalar(int64_t rb, int64_t re, int64_t n, int64_t k,
 
 // --------------------------------------------------------------- AVX2 path
 //
-// 4x16 register micro-tile: 8 FMA accumulators, 2 B loads and 4 broadcasts
-// per k step. Per element the k-reduction order is 0..K-1, exactly like the
-// scalar path.
+// 4x16 micro-tile: 8 FMA accumulators, 2 B loads and 4 broadcasts per k
+// step. Per element the k-reduction order is 0..K-1, as on the scalar path,
+// but each step is one FMA (see gemm.hpp for how the column tail rounds).
 
 __attribute__((target("avx2,fma"))) void micro_4x16(
     int64_t rows, int64_t k, int64_t n, const float* a, int64_t lda,
@@ -92,7 +92,8 @@ __attribute__((target("avx2,fma"))) void gemm_block_avx2(
       micro_4x16(rows, k, n, arow, k, b + j, crow + j);
     for (; j + 8 <= n; j += 8)
       micro_4x8(rows, k, n, arow, k, b + j, crow + j);
-    // Scalar column tail; same per-element reduction order.
+    // Scalar column tail; same per-element reduction order, but gcc rounds
+    // the products of each group of four k steps before adding them.
     for (; j < n; ++j)
       for (int64_t r = 0; r < rows; ++r) {
         float acc = 0.0f;

@@ -1,11 +1,16 @@
 // Raw-pointer GEMM kernels shared by ops::matmul* and the conv layers.
 //
-// One cache-blocked, register-tiled kernel (4x16 micro-tile, AVX2/FMA when
-// the CPU has it, scalar otherwise — picked once at runtime) parallelized
-// over row blocks of C on the global thread pool. Per output element the
-// reduction over k runs strictly in index order 0..K-1, so results are
-// bit-identical for any thread count and match the seed's i-k-j loop
-// ordering (DESIGN.md §7).
+// One cache-blocked, tiled kernel (4x16 micro-tile, AVX2/FMA when the CPU
+// has it, scalar otherwise — picked once at runtime) parallelized over row
+// blocks of C on the global thread pool. Per output element the reduction
+// over k runs strictly in index order 0..K-1, so results are bit-identical
+// for any thread count (DESIGN.md §7). The rounding is not the same for
+// every element: on the AVX2 path the full-vector columns compute one FMA
+// chain (under gcc the 4x16 tile's accumulators live in a stack array,
+// written back on every k step), while the scalar column tail, the last
+// n mod 8 columns, rounds each product before adding it for k in groups
+// of four and fuses only the k mod 4 rest. Results are deterministic per
+// build and shape, which is what the bitwise-serving contract needs.
 //
 // All matrices are dense row-major with packed leading dimensions.
 #pragma once

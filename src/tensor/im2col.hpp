@@ -4,7 +4,10 @@
 //   cols  : [C*KH*KW, OH*OW]   (one image)
 //   weight: [OC, C*KH*KW]
 //   out   : weight * cols = [OC, OH*OW]
-// col2im is the exact adjoint and is used by the backward pass.
+// col2im is the exact adjoint and is used by the backward pass. Neither
+// tests bounds per element: im2col copies each output row as one run from
+// a zero-bordered copy of the plane, and col2im adds each output row's
+// in-bounds run.
 #pragma once
 
 #include "tensor/tensor.hpp"
@@ -20,6 +23,12 @@ struct ConvGeom {
   int64_t out_h() const { return (in_h + 2 * pad - kernel_h) / stride + 1; }
   int64_t out_w() const { return (in_w + 2 * pad - kernel_w) / stride + 1; }
 
+  /// 1x1, stride 1, no padding: the patch matrix [C, H*W] is the image
+  /// itself, so a conv can hand its input to the GEMM without im2col.
+  bool pointwise() const {
+    return kernel_h == 1 && kernel_w == 1 && stride == 1 && pad == 0;
+  }
+
   void validate() const {
     check_arg(in_c > 0 && in_h > 0 && in_w > 0, "ConvGeom: bad input dims");
     check_arg(kernel_h > 0 && kernel_w > 0, "ConvGeom: bad kernel dims");
@@ -34,7 +43,9 @@ struct ConvGeom {
 /// Unrolls one image [C, H, W] (flattened view into @p img) into the patch
 /// matrix [C*KH*KW, OH*OW] written to @p cols (capacity is the caller's
 /// responsibility — conv layers hand in a runtime::Workspace buffer that
-/// persists across samples instead of reallocating per call).
+/// persists across samples instead of reallocating per call). A padded
+/// geometry borders each plane in the thread's Workspace::kIm2colPlane
+/// slot.
 void im2col(const float* img, const ConvGeom& g, float* cols);
 
 /// Tensor-backed convenience overload; resizes @p cols when needed.

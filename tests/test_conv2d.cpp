@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/conv2d.hpp"
+#include "tensor/gemm.hpp"
 #include "test_util.hpp"
 
 namespace mtlsplit {
@@ -65,7 +66,39 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvParam{3, 4, 3, 1, 1, 6, 6},
                       ConvParam{2, 3, 5, 2, 2, 9, 9},
                       ConvParam{4, 2, 1, 1, 0, 4, 4},
-                      ConvParam{2, 2, 3, 2, 1, 7, 5}));
+                      ConvParam{2, 2, 3, 2, 1, 7, 5},
+                      // 1x1 convs that are not pointwise keep im2col.
+                      ConvParam{3, 4, 1, 2, 0, 7, 6},
+                      ConvParam{3, 4, 1, 1, 1, 5, 6},
+                      ConvParam{3, 5, 3, 2, 1, 8, 11}));
+
+// A pointwise conv (1x1, stride 1, no padding) hands each sample's input
+// to the GEMM in place; that must be the GEMM over an explicit patch
+// matrix, bit for bit, one sample or several.
+TEST(Conv2dPointwise, EqualsGemmOverExplicitIm2col) {
+  const ConvGeom g{.in_c = 12, .in_h = 5, .in_w = 7, .kernel_h = 1,
+                   .kernel_w = 1, .stride = 1, .pad = 0};
+  ASSERT_TRUE(g.pointwise());
+  constexpr int64_t out_c = 20;
+  const int64_t ohw = g.out_h() * g.out_w();
+  Rng rng(17);
+  Tensor w({out_c, g.in_c});
+  rng.fill_uniform(w, -1.0f, 1.0f);
+  for (int64_t n : {1, 3}) {
+    Tensor x({n, g.in_c, g.in_h, g.in_w});
+    rng.fill_uniform(x, -1.0f, 1.0f);
+    Tensor got({n, out_c, g.out_h(), g.out_w()});
+    nn::conv2d_forward(x.data(), n, g, out_c, w.data(), nullptr,
+                       nn::ActFn::kNone, got.data());
+    Tensor want(got.shape()), cols;
+    for (int64_t i = 0; i < n; ++i) {
+      im2col(x.data() + i * g.in_c * g.in_h * g.in_w, g, cols);
+      ops::detail::gemm(out_c, ohw, g.in_c, w.data(), cols.data(),
+                        want.data() + i * out_c * ohw);
+    }
+    EXPECT_TRUE(got.equals(want)) << "batch " << n;
+  }
+}
 
 /// Reference depthwise convolution: each output starts from its channel's
 /// bias and adds the in-bounds taps in (kh, kw) order.
@@ -156,6 +189,15 @@ TEST(Conv2d, StridedGradients) {
   Rng rng(3);
   nn::Conv2d conv(2, 2, 3, 2, 1, rng, /*with_bias=*/false);
   Tensor x({1, 2, 6, 6});
+  rng.fill_uniform(x, -1.0f, 1.0f);
+  expect_gradients_match(conv, x, rng);
+}
+
+// The backward pass reads a pointwise conv's input in place too.
+TEST(Conv2d, PointwiseGradients) {
+  Rng rng(6);
+  nn::Conv2d conv(3, 4, 1, 1, 0, rng);
+  Tensor x({2, 3, 4, 5});
   rng.fill_uniform(x, -1.0f, 1.0f);
   expect_gradients_match(conv, x, rng);
 }
